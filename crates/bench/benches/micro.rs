@@ -3,10 +3,11 @@
 //! simulation.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use mmsec_bench::experiments::fault_horizon;
 use mmsec_core::PolicyKind;
 use mmsec_platform::obs::{FlightRecorder, NullObserver, PhaseProfiler};
 use mmsec_platform::projection::Projection;
-use mmsec_platform::{Instance, JobArena, JobState, PendingSet, SimView, Simulation};
+use mmsec_platform::{FaultConfig, Instance, JobArena, JobState, PendingSet, SimView, Simulation};
 use mmsec_sim::{EventQueue, Interval, IntervalSet, Time};
 use mmsec_workload::{KangConfig, RandomCcrConfig};
 
@@ -230,6 +231,42 @@ fn bench_decide_path_high_n(c: &mut Criterion) {
             session.remove_cloud(k).unwrap();
             session.drain().unwrap();
             session.snapshot().completed
+        });
+    });
+    // The SSF-EDF decide path (stretch binary search over EDF placement
+    // probes) on the batch-ssf-edf benchmark shape: Kang n=2000, the
+    // clouds round-robin over the 3-tier graph above, and a uniform
+    // exponential fault plan (MTBF 20000 s, MTTR 20 s on every unit).
+    let kang = KangConfig {
+        n: 2000,
+        ..KangConfig::default()
+    }
+    .generate(5);
+    let spec = &kang.spec;
+    let mut b = mmsec_platform::PlatformSpec::builder()
+        .edges(spec.edges().map(|j| spec.edge_speed(j)))
+        .tier(1.0, 1.0)
+        .tier(1.5, 2.0)
+        .tier(2.0, 3.0);
+    for (i, k) in spec.clouds().enumerate() {
+        b = b.cloud_at(spec.cloud_speed(k), 1 + i % 3);
+    }
+    let kang_tiered = Instance::new(b.build(), kang.jobs.clone()).unwrap();
+    let faults = FaultConfig::uniform_exponential(
+        kang_tiered.spec.num_edge(),
+        kang_tiered.spec.num_cloud(),
+        20_000.0,
+        20.0,
+    )
+    .compile(5, fault_horizon(&kang_tiered));
+    group.bench_function("simulate_2000_ssf_edf_tiered_faults", |b| {
+        b.iter(|| {
+            let mut policy = PolicyKind::SsfEdf.build(1);
+            Simulation::of(&kang_tiered)
+                .policy(policy.as_mut())
+                .faults(&faults)
+                .run()
+                .unwrap()
         });
     });
     // n=5000: only viable at all because decision-epoch gating and the

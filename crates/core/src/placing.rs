@@ -15,7 +15,7 @@
 
 use mmsec_platform::projection::{Forecast, Projection};
 use mmsec_platform::resource::{ResourceId, ResourceMap};
-use mmsec_platform::{CloudId, EdgeId, Job, JobId, JobState, Phase, SimView, Target};
+use mmsec_platform::{CloudClasses, CloudId, EdgeId, Job, JobId, JobState, Phase, SimView, Target};
 use mmsec_sim::time::approx;
 use mmsec_sim::Time;
 use std::cell::Cell;
@@ -108,18 +108,12 @@ pub struct RoundState {
     /// Jobs whose `contribution` entry was set this round, so `reset` can
     /// clear them without an O(n) sweep.
     contributors: Vec<usize>,
-    /// Cloud ids grouped by exact (speed, tier-path) triple — bitwise on
-    /// the floats, ascending within each group. Clouds the round has not
-    /// touched are interchangeable within a group (same compute rate
-    /// *and* same multi-hop transfer pricing), so `best_startable`
-    /// forecasts one representative per group instead of every cloud. On
-    /// a flat platform every path factor is exactly 1.0, so the grouping
-    /// degenerates to the pure speed classes it always was.
-    speed_classes: Vec<Vec<CloudId>>,
-    /// Speed-class index of each cloud — the inverse of `speed_classes`,
-    /// so per-cloud paths (delta refresh) can reach the class quotient
-    /// cache without searching the groups.
-    cloud_class: Vec<u32>,
+    /// Cloud ids grouped by exact (speed, tier-path) triple. Clouds the
+    /// round has not touched are interchangeable within a class (same
+    /// compute rate *and* same multi-hop transfer pricing), so
+    /// `best_startable` forecasts one representative per class instead
+    /// of every cloud.
+    classes: CloudClasses,
     /// Clouds this round has touched — claimed, or carrying committed-job
     /// backlog — and which therefore need individual evaluation.
     touched: Vec<bool>,
@@ -165,7 +159,7 @@ pub struct RoundState {
     /// when speeds can change — drops them.
     fresh_edge_div: Vec<Cell<f64>>,
     /// Same for fresh *cloud* candidates, one quotient per (job, speed
-    /// class): `fresh_cloud_div[i * speed_classes.len() + class]` holds
+    /// class): `fresh_cloud_div[i * classes.len() + class]` holds
     /// `job.work / class_speed`.
     fresh_cloud_div: Vec<Cell<f64>>,
 }
@@ -175,34 +169,15 @@ impl RoundState {
     /// pending job with progress on a committed target.
     pub fn new(view: &SimView<'_>) -> Self {
         let spec = view.spec();
-        let mut speed_classes: Vec<((u64, u64, u64), Vec<CloudId>)> = Vec::new();
-        for k in spec.clouds() {
-            let key = (
-                spec.cloud_speed(k).to_bits(),
-                spec.path_up(k).to_bits(),
-                spec.path_dn(k).to_bits(),
-            );
-            match speed_classes.iter_mut().find(|(cs, _)| *cs == key) {
-                Some((_, class)) => class.push(k),
-                None => speed_classes.push((key, vec![k])),
-            }
-        }
-        let speed_classes: Vec<Vec<CloudId>> = speed_classes.into_iter().map(|(_, c)| c).collect();
-        let num_classes = speed_classes.len();
-        let mut cloud_class = vec![0u32; spec.num_cloud()];
-        for (ci, class) in speed_classes.iter().enumerate() {
-            for &k in class {
-                cloud_class[k.0] = ci as u32;
-            }
-        }
+        let classes = CloudClasses::of(spec);
+        let num_classes = classes.len();
         let mut round = RoundState {
             proj: Projection::from_view(view),
             busy_now: ResourceMap::new(spec, false),
             backlog: ResourceMap::new(spec, 0.0f64),
             contribution: vec![None; view.jobs.len()],
             contributors: Vec::new(),
-            speed_classes,
-            cloud_class,
+            classes,
             touched: vec![false; spec.num_cloud()],
             touched_list: Vec::new(),
             version: view.platform_version(),
@@ -264,10 +239,8 @@ impl RoundState {
             // keep the computed quotients, mark only the new tail unset.
             self.fresh_edge_div
                 .resize(view.jobs.len(), Cell::new(f64::NAN));
-            self.fresh_cloud_div.resize(
-                view.jobs.len() * self.speed_classes.len(),
-                Cell::new(f64::NAN),
-            );
+            self.fresh_cloud_div
+                .resize(view.jobs.len() * self.classes.len(), Cell::new(f64::NAN));
         }
         self.gather(view);
     }
@@ -332,7 +305,7 @@ impl RoundState {
     /// Cached `work / class_speed` for job `i`'s fresh candidate on
     /// speed class `class`.
     fn fresh_cloud_quot(&self, i: usize, class: usize, work: f64, speed: f64) -> f64 {
-        let cell = &self.fresh_cloud_div[i * self.speed_classes.len() + class];
+        let cell = &self.fresh_cloud_div[i * self.classes.len() + class];
         let q = cell.get();
         if q.is_nan() {
             let q = work / speed;
@@ -535,7 +508,7 @@ impl RoundState {
         let ports_clean_dn = !self.dirty_edge_in[e] || job.dn <= 0.0;
         let mut cloud_best: Option<(Time, CloudId, StartOption)> = None;
         if let Some(cphase) = fresh_cloud_phase {
-            for (ci, class) in self.speed_classes.iter().enumerate() {
+            for (ci, class) in self.classes.groups().enumerate() {
                 let mut class_fc: Option<Forecast> = None;
                 for &k in class {
                     if committed == Some(Target::Cloud(k)) {
@@ -783,7 +756,7 @@ impl RoundState {
             // candidate whose bound already loses to the incumbent under
             // the scan's total order cannot become the argmin — skip it
             // without touching the projection.
-            let ci = self.cloud_class[k.0] as usize;
+            let ci = self.classes.class_of(k);
             let exec = self.fresh_cloud_quot(i, ci, job.work, spec.cloud_speed(k));
             let f = Forecast::pristine_quot(
                 t,

@@ -14,12 +14,28 @@
 //! EDF is *not* optimal on this platform (the paper gives a two-job
 //! counterexample, reproduced in the tests below), so the binary search
 //! may settle above the true optimum — SSF-EDF remains a heuristic.
+//!
+//! # Cost of a replan
+//!
+//! Each probe of the binary search sorts the pending jobs by deadline
+//! under its `S`, then places them in that order. The placement never
+//! reads `S` or a deadline: it depends on the EDF *order* alone. Probes
+//! of one replan therefore share a memo keyed by that order; a probe
+//! whose order an earlier probe already placed reuses its targets and
+//! forecast completions and only re-checks them against its own
+//! deadlines. A placement pass reuses one run-long [`Projection`], and
+//! its target choice visits the clouds by [`CloudClasses`]: clouds of one
+//! class the pass has not placed on yet forecast identically, so each
+//! class is scanned only up to its first such cloud. Both shortcuts are
+//! exact — the `#[cfg(test)]` reference probe (fresh projection, full
+//! ascending scan) and an end-to-end reference policy pin them bit for
+//! bit. See `docs/performance.md` ("SSF-EDF replan").
 
 use mmsec_platform::obs::Event as ObsEvent;
 use mmsec_platform::projection::Projection;
 use mmsec_platform::{
-    DecisionCadence, DirectiveBuffer, Instance, JobId, ObserverHandle, OnlineScheduler, SimView,
-    Target,
+    CloudClasses, CloudId, DecisionCadence, DirectiveBuffer, Instance, Job, JobId, JobState,
+    ObserverHandle, OnlineScheduler, PlatformSpec, SimView, Target,
 };
 use mmsec_sim::Time;
 
@@ -48,6 +64,30 @@ pub struct SsfEdf {
     platform_version: u64,
     /// Sink for `BinarySearchProbe` events, when attached.
     observer: Option<ObserverHandle>,
+    /// Run-long probe scratch, sized for one platform: built at the
+    /// first replan, rebuilt when the platform version moves, dropped by
+    /// `on_start` (two static instances both report version 0).
+    replanner: Option<Replanner>,
+    /// Work counters of the replan path, for tests.
+    work: Work,
+}
+
+/// Work the replan path performed, summed over the policy's lifetime.
+/// Deterministic, so tests can gate the probe shortcuts on work done
+/// instead of on wall-clock time.
+#[derive(Clone, Copy, Debug, Default)]
+#[cfg_attr(not(test), allow(dead_code))]
+struct Work {
+    /// Feasibility probes of the stretch binary search.
+    probes: u64,
+    /// Probes whose EDF order an earlier probe of the replan had placed.
+    memo_hits: u64,
+    /// Placement passes (probes that missed the memo).
+    placements: u64,
+    /// Jobs placed by those passes.
+    jobs_placed: u64,
+    /// Projection forecasts on cloud targets while choosing targets.
+    cloud_forecasts: u64,
 }
 
 impl Default for SsfEdf {
@@ -75,6 +115,8 @@ impl SsfEdf {
             incremental: true,
             platform_version: 0,
             observer: None,
+            replanner: None,
+            work: Work::default(),
         }
     }
 
@@ -88,174 +130,344 @@ impl SsfEdf {
         self
     }
 
-    /// Runs one feasibility probe of the stretch binary search and reports
-    /// it to the attached observer, if any.
-    fn probe(&self, view: &SimView<'_>, s: f64) -> Attempt {
-        let attempt = self.try_stretch(view, s);
-        if let Some(obs) = &self.observer {
-            obs.with(|o| {
-                o.on_event(&ObsEvent::BinarySearchProbe {
-                    t: view.now,
-                    stretch: s,
-                    feasible: attempt.feasible,
-                })
-            });
-        }
-        attempt
-    }
-
-    /// EDF placement under target stretch `s`: returns the plan and
-    /// whether every deadline was met.
-    fn try_stretch(&self, view: &SimView<'_>, s: f64) -> Attempt {
-        let spec = view.spec();
-        let mut jobs: Vec<(Time, JobId)> = view
-            .pending_jobs()
-            .map(|id| (view.deadline_under_stretch(id, s), id))
-            .collect();
-        jobs.sort();
-        let mut proj = Projection::from_view(view);
-        let mut feasible = true;
-        let mut plan = Vec::with_capacity(jobs.len());
-        for (d, id) in jobs {
-            let job = view.job(id);
-            let st = &view.state(id);
-            let target = choose_target(&proj, view, id, spec);
-            let completion = proj.place(job, st, target, spec, view.now);
-            if !completion.approx_le(d) {
-                feasible = false;
-            }
-            plan.push(PlanEntry {
-                id,
-                deadline: d,
-                target,
-            });
-        }
-        Attempt { feasible, plan }
-    }
-
     /// Full recomputation at a release event.
     fn replan(&mut self, view: &SimView<'_>) {
+        if self
+            .replanner
+            .as_ref()
+            .is_some_and(|r| r.version != view.platform_version())
+        {
+            self.replanner = None;
+        }
+        let rp = self.replanner.get_or_insert_with(|| Replanner::new(view));
+        rp.begin(view);
         // Lower bound: the stretch each pending job is already forced to
         // (finishing as early as physically possible, alone).
-        let mut lo = 1.0f64;
-        for id in view.pending_jobs() {
-            lo = lo.max(view.forced_stretch(id));
+        let lo = rp
+            .pending
+            .iter()
+            .fold(1.0f64, |lo, &id| lo.max(view.forced_stretch(id)));
+        let work = &mut self.work;
+        let observer = &self.observer;
+        let chosen = search(lo, self.alpha, self.eps_rel, |s| {
+            let probe = rp.probe(view, s, work);
+            if let Some(obs) = observer {
+                obs.with(|o| {
+                    o.on_event(&ObsEvent::BinarySearchProbe {
+                        t: view.now,
+                        stretch: s,
+                        feasible: probe.feasible,
+                    })
+                });
+            }
+            (probe.feasible, probe)
+        });
+        let (order, placed) = rp.memo.entry(chosen.entry);
+        for (&id, &(target, _)) in order.iter().zip(placed) {
+            self.deadlines[id.0] = Some(view.deadline_under_stretch(id, chosen.s));
+            self.targets[id.0] = Some(target);
         }
+    }
+}
 
-        let best_plan: Attempt;
-        let at_lo = self.probe(view, lo);
-        if at_lo.feasible {
-            best_plan = at_lo;
-        } else {
-            // Find a feasible upper bound by doubling.
-            let mut hi = lo.max(1.0) * 2.0;
-            let mut found = None;
-            for _ in 0..64 {
-                let attempt = self.probe(view, hi);
-                if attempt.feasible {
-                    found = Some((hi, attempt));
+/// The stretch binary search of one replan, starting from the lower
+/// bound `lo`. `probe(s)` reports whether target stretch `s` is feasible,
+/// plus a payload; the chosen probe's payload is returned.
+fn search<P>(lo: f64, alpha: f64, eps_rel: f64, mut probe: impl FnMut(f64) -> (bool, P)) -> P {
+    let (feasible, at_lo) = probe(lo);
+    if feasible {
+        return at_lo;
+    }
+    // Find a feasible upper bound by doubling.
+    let mut hi = lo.max(1.0) * 2.0;
+    for _ in 0..64 {
+        let (feasible, mut attempt) = probe(hi);
+        if feasible {
+            let mut lo = lo;
+            while hi - lo > eps_rel * lo {
+                let mid = 0.5 * (lo + hi);
+                let (mid_feasible, mid_attempt) = probe(mid);
+                if mid_feasible {
+                    hi = mid;
+                    attempt = mid_attempt;
+                } else {
+                    lo = mid;
+                }
+            }
+            if alpha != 1.0 {
+                attempt = probe(alpha * hi).1;
+            }
+            return attempt;
+        }
+        hi *= 2.0;
+    }
+    // Pathological: never feasible (EDF anomaly). Fall back to the last
+    // attempt's ordering as a best effort.
+    probe(hi).1
+}
+
+/// One probe's outcome: its stretch, whether every forecast completion
+/// met its deadline, and the memo entry holding its placement.
+#[derive(Clone, Copy, Debug)]
+struct Probe {
+    s: f64,
+    feasible: bool,
+    entry: usize,
+}
+
+/// Probe scratch of the replans, reused for a whole run on one platform.
+#[derive(Clone, Debug)]
+struct Replanner {
+    /// Platform version the projection and the class table were built for.
+    version: u64,
+    placer: Placer,
+    /// Pending jobs of the current replan.
+    pending: Vec<JobId>,
+    /// The current probe's `(deadline, id)` pairs in EDF order.
+    keys: Vec<(Time, JobId)>,
+    memo: Memo,
+}
+
+impl Replanner {
+    fn new(view: &SimView<'_>) -> Self {
+        Replanner {
+            version: view.platform_version(),
+            placer: Placer::new(view),
+            pending: Vec::new(),
+            keys: Vec::new(),
+            memo: Memo::default(),
+        }
+    }
+
+    /// Starts a replan: snapshots the pending set and empties the memo,
+    /// whose placements hold only for the view they were made against.
+    fn begin(&mut self, view: &SimView<'_>) {
+        self.pending.clear();
+        self.pending.extend(view.pending_jobs());
+        self.memo.clear(self.pending.len());
+    }
+
+    /// EDF feasibility probe under target stretch `s`. Places the jobs
+    /// only when no earlier probe of this replan produced the same order.
+    fn probe(&mut self, view: &SimView<'_>, s: f64, work: &mut Work) -> Probe {
+        work.probes += 1;
+        self.keys.clear();
+        self.keys.extend(
+            self.pending
+                .iter()
+                .map(|&id| (view.deadline_under_stretch(id, s), id)),
+        );
+        self.keys.sort_unstable();
+        let entry = match self.memo.find(&self.keys) {
+            Some(entry) => {
+                work.memo_hits += 1;
+                entry
+            }
+            None => {
+                work.placements += 1;
+                work.jobs_placed += self.keys.len() as u64;
+                self.placer.begin_pass(view.now);
+                for &(_, id) in &self.keys {
+                    let job = view.job(id);
+                    let st = view.state(id);
+                    let target = self.placer.choose_target(view, job, &st, work);
+                    let completion = self.placer.place(view.spec(), job, &st, target, view.now);
+                    self.memo.push(id, target, completion);
+                }
+                self.memo.seal()
+            }
+        };
+        let (_, placed) = self.memo.entry(entry);
+        let feasible = self
+            .keys
+            .iter()
+            .zip(placed)
+            .all(|(&(d, _), &(_, completion))| completion.approx_le(d));
+        Probe { s, feasible, entry }
+    }
+}
+
+/// Placements of one replan, keyed by EDF order. Every entry orders the
+/// same pending set, so entries are fixed-width rows of flat buffers.
+#[derive(Clone, Debug, Default)]
+struct Memo {
+    /// Jobs per entry (the replan's pending count).
+    width: usize,
+    /// Sealed entries.
+    entries: usize,
+    /// Entry `e`'s EDF order is `orders[e * width..(e + 1) * width]`.
+    orders: Vec<JobId>,
+    /// `placed[i]` is the (target, forecast completion) of `orders[i]`.
+    placed: Vec<(Target, Time)>,
+}
+
+impl Memo {
+    fn clear(&mut self, width: usize) {
+        self.width = width;
+        self.entries = 0;
+        self.orders.clear();
+        self.placed.clear();
+    }
+
+    /// The entry whose order is the id sequence of `keys`, if any.
+    fn find(&self, keys: &[(Time, JobId)]) -> Option<usize> {
+        (0..self.entries).find(|&e| {
+            let order = &self.orders[e * self.width..(e + 1) * self.width];
+            order.iter().zip(keys).all(|(&a, &(_, b))| a == b)
+        })
+    }
+
+    /// Appends one placement to the entry being built.
+    fn push(&mut self, id: JobId, target: Target, completion: Time) {
+        self.orders.push(id);
+        self.placed.push((target, completion));
+    }
+
+    /// Closes the entry being built and returns its index.
+    fn seal(&mut self) -> usize {
+        debug_assert_eq!(self.orders.len(), (self.entries + 1) * self.width);
+        self.entries += 1;
+        self.entries - 1
+    }
+
+    fn entry(&self, e: usize) -> (&[JobId], &[(Target, Time)]) {
+        let range = e * self.width..(e + 1) * self.width;
+        (&self.orders[range.clone()], &self.placed[range])
+    }
+}
+
+/// One placement pass's projection and target choice.
+#[derive(Clone, Debug)]
+struct Placer {
+    proj: Projection,
+    classes: CloudClasses,
+    /// Cloud `k` was placed on in the current pass iff
+    /// `placed_in[k] == pass`.
+    placed_in: Vec<u64>,
+    pass: u64,
+}
+
+impl Placer {
+    fn new(view: &SimView<'_>) -> Self {
+        Placer {
+            proj: Projection::from_view(view),
+            classes: CloudClasses::of(view.spec()),
+            placed_in: vec![0; view.spec().num_cloud()],
+            pass: 0,
+        }
+    }
+
+    /// Frees every resource from `now` on: equivalent to a fresh
+    /// projection, and no cloud counts as placed on.
+    fn begin_pass(&mut self, now: Time) {
+        self.proj.reset(now);
+        self.pass += 1;
+    }
+
+    /// Books `job` on `target` and returns its forecast completion.
+    fn place(
+        &mut self,
+        spec: &PlatformSpec,
+        job: &Job,
+        st: &JobState,
+        target: Target,
+        now: Time,
+    ) -> Time {
+        if let Target::Cloud(k) = target {
+            self.placed_in[k.0] = self.pass;
+        }
+        self.proj.place(job, st, target, spec, now)
+    }
+
+    /// Earliest-projected-completion target with a *hysteresis*
+    /// re-execution guard. Two failure modes bracket the design space:
+    /// comparing raw projections lets every replan reshuffle in-flight
+    /// jobs (>100 re-executions per 600 jobs, the lost progress
+    /// dominating the stretch), while an optimistic never-switch bar
+    /// ratchets jobs onto congested processors they can never leave. The
+    /// middle ground: a switch must beat the *projected* (queue-aware)
+    /// continuation by more than the progress the job would throw away.
+    ///
+    /// The choice is the first minimum of the committed target, the
+    /// edge, then the clouds by ascending index, each compared with
+    /// strict `<`. The clouds are visited by class instead: the
+    /// lexicographic `(completion, index)` minimum over them is the same
+    /// cloud, and within a class the scan stops at the first available
+    /// cloud this pass has not placed on — every later member forecasts
+    /// no earlier (an untouched one identically, a placed-on one later,
+    /// since forecasts are monotone in the profiles) and has a higher
+    /// index.
+    fn choose_target(
+        &self,
+        view: &SimView<'_>,
+        job: &Job,
+        st: &JobState,
+        work: &mut Work,
+    ) -> Target {
+        let spec = view.spec();
+        let now = view.now;
+        let proj = &self.proj;
+        // Time already invested in the committed attempt (what a switch
+        // wastes).
+        let sunk = match st.committed {
+            Some(Target::Edge) => st.work_done / spec.edge_speed(job.origin),
+            Some(Target::Cloud(k)) => st.up_done + st.work_done / spec.cloud_speed(k) + st.dn_done,
+            None => 0.0,
+        };
+        let mut best: Option<(Target, Time)> = None;
+        let mut bar: Option<Time> = None;
+        if let Some(t) = st.committed {
+            let completion = proj.completion(job, st, t, spec, now);
+            if let Target::Cloud(_) = t {
+                work.cloud_forecasts += 1;
+            }
+            bar = Some(completion - Time::new(sunk));
+            // A down unit (fault injection) is never a placement target.
+            if view.target_available(job.origin, t) {
+                best = Some((t, completion));
+            }
+        }
+        // A switch must beat the bar; the committed target itself is
+        // scored once above (a re-evaluation would tie and lose).
+        let clears_bar = |completion: Time| bar.map_or(true, |bar| completion < bar);
+        if st.committed != Some(Target::Edge) && view.target_available(job.origin, Target::Edge) {
+            let completion = proj.completion(job, st, Target::Edge, spec, now);
+            if clears_bar(completion) && best.map_or(true, |(_, c)| completion < c) {
+                best = Some((Target::Edge, completion));
+            }
+        }
+        let mut cloud_best: Option<(Time, CloudId)> = None;
+        for class in self.classes.groups() {
+            for &k in class {
+                let target = Target::Cloud(k);
+                if st.committed == Some(target) || !view.target_available(job.origin, target) {
+                    continue;
+                }
+                let completion = proj.completion(job, st, target, spec, now);
+                work.cloud_forecasts += 1;
+                if clears_bar(completion)
+                    && cloud_best.map_or(true, |(c, bk)| {
+                        completion < c || (completion == c && k.0 < bk.0)
+                    })
+                {
+                    cloud_best = Some((completion, k));
+                }
+                if self.placed_in[k.0] != self.pass {
                     break;
                 }
-                hi *= 2.0;
-            }
-            match found {
-                None => {
-                    // Pathological: never feasible (EDF anomaly). Fall back
-                    // to the last attempt's ordering as a best effort.
-                    best_plan = self.probe(view, hi);
-                }
-                Some((mut hi, mut attempt)) => {
-                    let mut lo = lo;
-                    while hi - lo > self.eps_rel * lo {
-                        let mid = 0.5 * (lo + hi);
-                        let mid_attempt = self.probe(view, mid);
-                        if mid_attempt.feasible {
-                            hi = mid;
-                            attempt = mid_attempt;
-                        } else {
-                            lo = mid;
-                        }
-                    }
-                    if self.alpha != 1.0 {
-                        attempt = self.probe(view, self.alpha * hi);
-                    }
-                    best_plan = attempt;
-                }
             }
         }
-
-        let plan = best_plan.plan;
-        for entry in plan {
-            self.deadlines[entry.id.0] = Some(entry.deadline);
-            self.targets[entry.id.0] = Some(entry.target);
-        }
-    }
-}
-
-struct PlanEntry {
-    id: JobId,
-    deadline: Time,
-    target: Target,
-}
-
-/// Earliest-projected-completion target with a *hysteresis* re-execution
-/// guard. Two failure modes bracket the design space: comparing raw
-/// projections lets every replan reshuffle in-flight jobs (>100
-/// re-executions per 600 jobs, the lost progress dominating the stretch),
-/// while an optimistic never-switch bar ratchets jobs onto congested
-/// processors they can never leave. The middle ground: a switch must beat
-/// the *projected* (queue-aware) continuation by more than the progress
-/// the job would throw away.
-fn choose_target(
-    proj: &Projection,
-    view: &SimView<'_>,
-    id: JobId,
-    spec: &mmsec_platform::PlatformSpec,
-) -> Target {
-    let st = &view.state(id);
-    let job = view.job(id);
-    // Time already invested in the committed attempt (what a switch wastes).
-    let sunk = match st.committed {
-        Some(Target::Edge) => st.work_done / spec.edge_speed(job.origin),
-        Some(Target::Cloud(k)) => st.up_done + st.work_done / spec.cloud_speed(k) + st.dn_done,
-        None => 0.0,
-    };
-    let bar: Option<Time> = st
-        .committed
-        .map(|t| proj.completion(job, st, t, spec, view.now) - Time::new(sunk));
-    let mut best: Option<(Target, Time)> = None;
-    let consider = |target: Target, best: &mut Option<(Target, Time)>| {
-        if !view.target_available(job.origin, target) {
-            return; // unit is down (fault injection): never place on it
-        }
-        let completion = proj.completion(job, st, target, spec, view.now);
-        if st.committed != Some(target) {
-            if let Some(bar) = bar {
-                if completion >= bar {
-                    return; // gain does not cover the sunk progress
-                }
+        if let Some((completion, k)) = cloud_best {
+            if best.map_or(true, |(_, c)| completion < c) {
+                best = Some((Target::Cloud(k), completion));
             }
         }
-        if best.map_or(true, |(_, c)| completion < c) {
-            *best = Some((target, completion));
-        }
-    };
-    if let Some(t) = st.committed {
-        consider(t, &mut best);
+        // Every unit can be down at once under fault injection; park the
+        // job on its committed target (or the edge) until something
+        // recovers — the engine's resource blocking keeps it from
+        // actually starting there.
+        best.map_or(st.committed.unwrap_or(Target::Edge), |(t, _)| t)
     }
-    consider(Target::Edge, &mut best);
-    for k in spec.clouds() {
-        consider(Target::Cloud(k), &mut best);
-    }
-    // Every unit can be down at once under fault injection; park the job on
-    // its committed target (or the edge) until something recovers — the
-    // engine's resource blocking keeps it from actually starting there.
-    best.map_or(st.committed.unwrap_or(Target::Edge), |(t, _)| t)
-}
-
-struct Attempt {
-    feasible: bool,
-    plan: Vec<PlanEntry>,
 }
 
 impl OnlineScheduler for SsfEdf {
@@ -279,6 +491,7 @@ impl OnlineScheduler for SsfEdf {
         self.deadlines = vec![None; instance.num_jobs()];
         self.targets = vec![None; instance.num_jobs()];
         self.order.clear();
+        self.replanner = None;
     }
 
     fn attach_observer(&mut self, observer: ObserverHandle) {
@@ -343,9 +556,156 @@ impl OnlineScheduler for SsfEdf {
 mod tests {
     use super::*;
     use mmsec_platform::{
-        figure1_instance, max_stretch, validate, CloudId, EdgeId, Instance, Job, PlatformSpec,
-        Simulation, StretchReport,
+        figure1_instance, max_stretch, validate, CloudId, EdgeId, EngineOptions, FaultConfig,
+        Instance, Job, JobArena, PendingSet, PlatformSpec, RunOutcome, Simulation, StretchReport,
     };
+    use mmsec_workload::{KangConfig, RandomCcrConfig};
+
+    /// Reference target choice: the committed target, the edge, then
+    /// every cloud by ascending index, each forecast against `proj`.
+    fn choose_target(
+        proj: &Projection,
+        view: &SimView<'_>,
+        id: JobId,
+        spec: &PlatformSpec,
+    ) -> Target {
+        let st = &view.state(id);
+        let job = view.job(id);
+        let sunk = match st.committed {
+            Some(Target::Edge) => st.work_done / spec.edge_speed(job.origin),
+            Some(Target::Cloud(k)) => st.up_done + st.work_done / spec.cloud_speed(k) + st.dn_done,
+            None => 0.0,
+        };
+        let bar: Option<Time> = st
+            .committed
+            .map(|t| proj.completion(job, st, t, spec, view.now) - Time::new(sunk));
+        let mut best: Option<(Target, Time)> = None;
+        let consider = |target: Target, best: &mut Option<(Target, Time)>| {
+            if !view.target_available(job.origin, target) {
+                return;
+            }
+            let completion = proj.completion(job, st, target, spec, view.now);
+            if st.committed != Some(target) {
+                if let Some(bar) = bar {
+                    if completion >= bar {
+                        return;
+                    }
+                }
+            }
+            if best.map_or(true, |(_, c)| completion < c) {
+                *best = Some((target, completion));
+            }
+        };
+        if let Some(t) = st.committed {
+            consider(t, &mut best);
+        }
+        consider(Target::Edge, &mut best);
+        for k in spec.clouds() {
+            consider(Target::Cloud(k), &mut best);
+        }
+        best.map_or(st.committed.unwrap_or(Target::Edge), |(t, _)| t)
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct PlanEntry {
+        id: JobId,
+        deadline: Time,
+        target: Target,
+    }
+
+    /// Reference probe: a fresh projection, the full ascending cloud
+    /// scan, and a plan built per probe.
+    fn try_stretch(view: &SimView<'_>, s: f64) -> (bool, Vec<PlanEntry>) {
+        let spec = view.spec();
+        let mut jobs: Vec<(Time, JobId)> = view
+            .pending_jobs()
+            .map(|id| (view.deadline_under_stretch(id, s), id))
+            .collect();
+        jobs.sort();
+        let mut proj = Projection::from_view(view);
+        let mut feasible = true;
+        let mut plan = Vec::with_capacity(jobs.len());
+        for (d, id) in jobs {
+            let job = view.job(id);
+            let st = &view.state(id);
+            let target = choose_target(&proj, view, id, spec);
+            let completion = proj.place(job, st, target, spec, view.now);
+            if !completion.approx_le(d) {
+                feasible = false;
+            }
+            plan.push(PlanEntry {
+                id,
+                deadline: d,
+                target,
+            });
+        }
+        (feasible, plan)
+    }
+
+    /// The plan a production probe fixes, in its EDF order.
+    fn plan_of(rp: &Replanner, view: &SimView<'_>, probe: &Probe) -> Vec<PlanEntry> {
+        let (order, placed) = rp.memo.entry(probe.entry);
+        order
+            .iter()
+            .zip(placed)
+            .map(|(&id, &(target, _))| PlanEntry {
+                id,
+                deadline: view.deadline_under_stretch(id, probe.s),
+                target,
+            })
+            .collect()
+    }
+
+    /// Reference policy: the same stretch search over reference probes,
+    /// with the EDF order rebuilt at every decide.
+    struct SsfEdfNaive {
+        alpha: f64,
+        deadlines: Vec<Option<Time>>,
+        targets: Vec<Option<Target>>,
+    }
+
+    impl SsfEdfNaive {
+        fn new(alpha: f64) -> Self {
+            SsfEdfNaive {
+                alpha,
+                deadlines: Vec::new(),
+                targets: Vec::new(),
+            }
+        }
+    }
+
+    impl OnlineScheduler for SsfEdfNaive {
+        fn name(&self) -> String {
+            "ssf-edf-naive".into()
+        }
+
+        fn on_start(&mut self, instance: &Instance) {
+            self.deadlines = vec![None; instance.num_jobs()];
+            self.targets = vec![None; instance.num_jobs()];
+        }
+
+        fn decide(&mut self, view: &SimView<'_>, out: &mut DirectiveBuffer) {
+            if view.pending_jobs().any(|id| self.deadlines[id.0].is_none()) {
+                let mut lo = 1.0f64;
+                for id in view.pending_jobs() {
+                    lo = lo.max(view.forced_stretch(id));
+                }
+                let plan = search(lo, self.alpha, 1e-3, |s| try_stretch(view, s));
+                for entry in plan {
+                    self.deadlines[entry.id.0] = Some(entry.deadline);
+                    self.targets[entry.id.0] = Some(entry.target);
+                }
+            }
+            let mut order: Vec<(Time, JobId)> = view
+                .pending_jobs()
+                .map(|id| (self.deadlines[id.0].expect("planned"), id))
+                .collect();
+            order.sort();
+            for (_, id) in order {
+                out.push(id, self.targets[id.0].expect("planned"));
+            }
+        }
+    }
 
     #[test]
     fn single_job_gets_stretch_one() {
@@ -520,10 +880,6 @@ mod tests {
 
     #[test]
     fn hysteresis_switches_only_when_gain_exceeds_sunk_progress() {
-        use mmsec_platform::projection::Projection;
-        use mmsec_platform::{Instance, Job, JobArena, JobState, PendingSet, SimView};
-        use mmsec_sim::Time;
-
         let spec = PlatformSpec::builder()
             .edges(vec![0.01])
             .cloud_pool(2)
@@ -538,79 +894,358 @@ mod tests {
             up_done,
             ..JobState::default()
         };
+        // Both the reference choice and the class scan, after a phantom
+        // booking occupies cloud 0's CPU for `busy` seconds.
+        let choices = |up_done: f64, busy: f64| -> (Target, Target) {
+            let states = vec![state_with_up_done(up_done)];
+            let arena = JobArena::from_states(&inst, &states);
+            let pending = PendingSet::from_states(&inst, &states);
+            let view = SimView::new(&inst, Time::new(10.0), &arena, &pending);
+            let phantom = Job::new(EdgeId(0), 0.0, busy, 0.0, 0.0);
+            let fresh = JobState {
+                released: true,
+                ..JobState::default()
+            };
+            let cloud0 = Target::Cloud(CloudId(0));
+            let mut proj = Projection::from_view(&view);
+            proj.place(&phantom, &fresh, cloud0, view.spec(), view.now);
+            let reference = choose_target(&proj, &view, JobId(0), view.spec());
+            let mut placer = Placer::new(&view);
+            placer.begin_pass(view.now);
+            placer.place(view.spec(), &phantom, &fresh, cloud0, view.now);
+            let st = view.state(JobId(0));
+            let scanned =
+                placer.choose_target(&view, view.job(JobId(0)), &st, &mut Work::default());
+            (reference, scanned)
+        };
 
         // Case 1: cloud 0 lightly queued (2 seconds) — continuation
         // projects 2 + 5 = 7 from now; switching to idle cloud 1 projects
         // 6, a gain of 1 which does NOT exceed... it must beat
         // (projected − sunk) = 7 − 1 = 6 strictly: 6 ≥ 6 → stay.
-        {
-            let states = vec![state_with_up_done(1.0)];
-            let arena = JobArena::from_states(&inst, &states);
-            let pending = PendingSet::from_states(&inst, &states);
-            let view = SimView::new(&inst, Time::new(10.0), &arena, &pending);
-            let mut proj = Projection::from_view(&view);
-            // Occupy cloud 0's CPU for 2 seconds with a phantom booking.
-            let phantom = Job::new(EdgeId(0), 0.0, 2.0, 0.0, 0.0);
-            let fresh = JobState {
-                released: true,
-                ..JobState::default()
-            };
-            proj.place(
-                &phantom,
-                &fresh,
-                Target::Cloud(CloudId(0)),
-                view.spec(),
-                view.now,
-            );
-            let t = super::choose_target(&proj, &view, JobId(0), view.spec());
-            assert_eq!(t, Target::Cloud(CloudId(0)), "small gain must not switch");
-        }
-
+        let stay = Target::Cloud(CloudId(0));
+        assert_eq!(
+            choices(1.0, 2.0),
+            (stay, stay),
+            "small gain must not switch"
+        );
         // Case 2: cloud 0 deeply queued (10 seconds) — continuation
         // projects 15, bar = 14; fresh cloud 1 projects 6 < 14 → switch.
-        {
-            let states = vec![state_with_up_done(1.0)];
-            let arena = JobArena::from_states(&inst, &states);
-            let pending = PendingSet::from_states(&inst, &states);
-            let view = SimView::new(&inst, Time::new(10.0), &arena, &pending);
-            let mut proj = Projection::from_view(&view);
-            let phantom = Job::new(EdgeId(0), 0.0, 10.0, 0.0, 0.0);
-            let fresh = JobState {
-                released: true,
-                ..JobState::default()
-            };
-            proj.place(
-                &phantom,
-                &fresh,
-                Target::Cloud(CloudId(0)),
-                view.spec(),
-                view.now,
-            );
-            let t = super::choose_target(&proj, &view, JobId(0), view.spec());
-            assert_eq!(t, Target::Cloud(CloudId(1)), "large gain must switch");
+        let switch = Target::Cloud(CloudId(1));
+        assert_eq!(
+            choices(1.0, 10.0),
+            (switch, switch),
+            "large gain must switch"
+        );
+        // Case 3: no progress — free to pick the projected best.
+        assert_eq!(choices(0.0, 3.0), (switch, switch));
+    }
+
+    #[test]
+    fn memo_reuses_a_repeated_order_without_placing() {
+        // Three identical jobs released together on one cloud: no
+        // stretch below 3 is feasible, so the search probes several
+        // stretches, yet every stretch sorts them by id alone — one
+        // placement pass serves every probe.
+        let spec = PlatformSpec::builder()
+            .edges(vec![0.1])
+            .cloud_pool(1)
+            .build();
+        let jobs = vec![Job::new(EdgeId(0), 0.0, 2.0, 0.5, 0.5); 3];
+        let inst = Instance::new(spec, jobs).unwrap();
+        let mut policy = SsfEdf::new();
+        Simulation::of(&inst).policy(&mut policy).run().unwrap();
+        let w = policy.work;
+        assert!(w.probes > 1, "{w:?}");
+        assert_eq!(w.probes, w.memo_hits + w.placements, "{w:?}");
+        assert_eq!(w.placements, 1, "{w:?}");
+    }
+
+    /// A tiered Kang instance under the uniform exponential fault plan:
+    /// Kang's edges and clouds, the clouds placed round-robin over a
+    /// 3-hop tier graph with hop factors (1, 1), (1.5, 2), (2, 3).
+    fn tiered_kang_with_faults(n: usize, seed: u64) -> (Instance, mmsec_platform::FaultPlan) {
+        let flat = KangConfig {
+            n,
+            ..KangConfig::default()
+        }
+        .generate(seed);
+        let spec = &flat.spec;
+        let mut b = PlatformSpec::builder()
+            .edges(spec.edges().map(|j| spec.edge_speed(j)))
+            .tier(1.0, 1.0)
+            .tier(1.5, 2.0)
+            .tier(2.0, 3.0);
+        for (i, k) in spec.clouds().enumerate() {
+            b = b.cloud_at(spec.cloud_speed(k), 1 + i % 3);
+        }
+        let inst = Instance::new(b.build(), flat.jobs.clone()).unwrap();
+        let volume: f64 = inst.jobs.iter().map(|j| j.up + j.work + j.dn).sum();
+        let last_release = inst
+            .jobs
+            .iter()
+            .map(|j| j.release.seconds())
+            .fold(0.0f64, f64::max);
+        let horizon = Time::new(last_release + 8.0 * volume / inst.spec.total_speed());
+        let plan = FaultConfig::uniform_exponential(
+            inst.spec.num_edge(),
+            inst.spec.num_cloud(),
+            20_000.0,
+            20.0,
+        )
+        .compile(seed, horizon);
+        (inst, plan)
+    }
+
+    #[test]
+    fn probe_shortcuts_cut_placement_work() {
+        // Deterministic work gate on one benchmark-shaped instance:
+        // tiered Kang, n = 2000, seeded faults. Most probes of a replan
+        // repeat an EDF order an earlier probe placed; the class scan
+        // forecasts a fraction of the clouds per placed job.
+        let (inst, plan) = tiered_kang_with_faults(2000, 11);
+        let mut policy = SsfEdf::new();
+        let out = Simulation::of(&inst)
+            .policy(&mut policy)
+            .faults(&plan)
+            .run()
+            .unwrap();
+        assert!(out.schedule.all_finished());
+        assert!(validate(&inst, &out.schedule).is_ok());
+        let w = policy.work;
+        assert_eq!(w.probes, w.memo_hits + w.placements, "{w:?}");
+        assert!(
+            10 * w.placements <= 4 * w.probes,
+            "placement passes above 40% of probes: {w:?}"
+        );
+        let full_scan = w.jobs_placed * inst.spec.num_cloud() as u64;
+        assert!(
+            2 * w.cloud_forecasts <= full_scan,
+            "class scan forecasts above half a full scan ({full_scan}): {w:?}"
+        );
+    }
+
+    #[test]
+    fn policy_reused_across_platforms_matches_fresh_policy() {
+        // Both instances are static (platform version 0), so only
+        // `on_start` can tell the policy its platform-sized scratch is
+        // stale: different cloud counts, tier depths and speeds.
+        let two_tier = {
+            let spec = PlatformSpec::builder()
+                .edges(vec![0.3, 0.6])
+                .tier(1.0, 1.0)
+                .clouds([1.0, 2.0])
+                .tier(1.5, 2.0)
+                .cloud(1.0)
+                .build();
+            let jobs = (0..24)
+                .map(|i| {
+                    let w = 1.0 + (i % 5) as f64;
+                    Job::new(EdgeId(i % 2), 0.4 * i as f64, w, 0.3, 0.2)
+                })
+                .collect();
+            Instance::new(spec, jobs).unwrap()
+        };
+        let flat = {
+            let spec = PlatformSpec::builder()
+                .edges(vec![0.5, 0.2, 0.4])
+                .clouds([1.0, 1.0, 1.5, 1.0, 1.5, 1.0])
+                .build();
+            let jobs = (0..30)
+                .map(|i| {
+                    let w = 0.5 + (i % 7) as f64;
+                    Job::new(EdgeId(i % 3), 0.25 * i as f64, w, 0.6, 0.4)
+                })
+                .collect();
+            Instance::new(spec, jobs).unwrap()
+        };
+        let run = |policy: &mut SsfEdf, inst: &Instance| {
+            Simulation::of(inst).policy(policy).run().unwrap().schedule
+        };
+        let mut reused = SsfEdf::new();
+        for inst in [&two_tier, &flat, &two_tier, &flat] {
+            let fresh = run(&mut SsfEdf::new(), inst);
+            assert_eq!(run(&mut reused, inst), fresh);
+        }
+    }
+
+    mod reference {
+        use super::*;
+        use mmsec_platform::Availability;
+        use proptest::prelude::*;
+
+        /// A platform with heterogeneous cloud speeds (repeats form
+        /// classes), flat or on a 1–3 hop tier graph.
+        fn spec_of(speed_picks: &[usize], depth: usize, hops: &[(f64, f64)]) -> PlatformSpec {
+            let speeds = speed_picks.iter().map(|&p| [0.5, 1.0, 2.0][p % 3]);
+            let b = PlatformSpec::builder().edges(vec![1.0, 0.5]);
+            if depth == 0 {
+                return b.clouds(speeds).build();
+            }
+            let mut b = hops[..depth].iter().fold(b, |b, &(up, dn)| b.tier(up, dn));
+            for (i, s) in speeds.enumerate() {
+                // Tier from the pick too, so one speed lands on several
+                // tiers (same speed, different class).
+                b = b.cloud_at(s, 1 + (i + speed_picks[i] / 3) % depth);
+            }
+            b.build()
         }
 
-        // Case 3: no progress — free to pick the projected best.
-        {
-            let states = vec![state_with_up_done(0.0)];
-            let arena = JobArena::from_states(&inst, &states);
-            let pending = PendingSet::from_states(&inst, &states);
-            let view = SimView::new(&inst, Time::new(10.0), &arena, &pending);
-            let mut proj = Projection::from_view(&view);
-            let phantom = Job::new(EdgeId(0), 0.0, 3.0, 0.0, 0.0);
-            let fresh = JobState {
-                released: true,
-                ..JobState::default()
-            };
-            proj.place(
-                &phantom,
-                &fresh,
-                Target::Cloud(CloudId(0)),
-                view.spec(),
-                view.now,
-            );
-            let t = super::choose_target(&proj, &view, JobId(0), view.spec());
-            assert_eq!(t, Target::Cloud(CloudId(1)));
+        fn run(
+            inst: &Instance,
+            policy: &mut dyn OnlineScheduler,
+            faults: Option<(f64, f64, u64)>,
+        ) -> RunOutcome {
+            let plan = faults.map(|(mtbf, mttr, seed)| {
+                FaultConfig::uniform_exponential(
+                    inst.spec.num_edge(),
+                    inst.spec.num_cloud(),
+                    mtbf,
+                    mttr,
+                )
+                .compile(seed, Time::new(1e5))
+            });
+            let mut sim = Simulation::of(inst)
+                .policy(policy)
+                .options(EngineOptions::default());
+            if let Some(plan) = &plan {
+                sim = sim.faults(plan);
+            }
+            sim.run().expect("ssf-edf completes")
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Memoized, class-scanned probes equal the reference probe
+            /// bit for bit — feasibility, and the plan's targets and
+            /// deadlines — over heterogeneous speeds, 1–3 tier paths,
+            /// every committed/progress state and down units. Stretches
+            /// repeat (and nearby stretches sort alike), so the memo
+            /// serves many of the probes; a second replan at a later
+            /// instant must not see the first one's placements.
+            #[test]
+            fn memoized_probes_match_reference(
+                speed_picks in proptest::collection::vec(0usize..9, 1..8),
+                depth in 0usize..4,
+                hops in proptest::collection::vec((0.5f64..3.0, 0.5f64..3.0), 3),
+                job_descs in proptest::collection::vec(
+                    (0.0f64..4.0, 0.5f64..8.0, 0.0f64..3.0, 0.0f64..3.0, 0u8..2, 0u8..4),
+                    1..12,
+                ),
+                down in proptest::collection::vec(any::<bool>(), 10),
+                pool in proptest::collection::vec(1.0f64..8.0, 4),
+                picks in proptest::collection::vec(0usize..4, 1..16),
+                now in 4.0f64..6.0,
+            ) {
+                let spec = spec_of(&speed_picks, depth, &hops);
+                let num_cloud = spec.num_cloud();
+                let jobs: Vec<Job> = job_descs
+                    .iter()
+                    .map(|&(rel, work, up, dn, origin, _)| {
+                        Job::new(EdgeId(origin as usize), rel, work, up, dn)
+                    })
+                    .collect();
+                let inst = Instance::new(spec, jobs).unwrap();
+                let mut states = vec![JobState::default(); inst.num_jobs()];
+                for (i, (st, &(_, work, up, _, _, kind))) in
+                    states.iter_mut().zip(job_descs.iter()).enumerate()
+                {
+                    st.released = true;
+                    match kind {
+                        1 => {
+                            st.committed = Some(Target::Edge);
+                            st.work_done = 0.5 * work;
+                        }
+                        2 => {
+                            st.committed = Some(Target::Cloud(CloudId(i % num_cloud)));
+                            st.up_done = 0.5 * up;
+                        }
+                        3 => {
+                            st.committed = Some(Target::Cloud(CloudId(i % num_cloud)));
+                            st.up_done = up;
+                            st.work_done = 0.25 * work;
+                        }
+                        _ => {}
+                    }
+                }
+                let mut avail = Availability::all_up(2, num_cloud);
+                for (up, d) in avail.cloud_up.iter_mut().zip(down.iter()) {
+                    *up = !d;
+                }
+                avail.edge_up[0] = !down[8];
+                avail.edge_up[1] = !down[9];
+                let arena = JobArena::from_states(&inst, &states);
+                let pending = PendingSet::from_states(&inst, &states);
+                let stretches: Vec<f64> = picks.iter().map(|&p| pool[p]).collect();
+                let repeats = stretches.len()
+                    - picks.iter().collect::<std::collections::BTreeSet<_>>().len();
+                let mut rp: Option<Replanner> = None;
+                for at in [now, now + 1.5] {
+                    let view = SimView::new(&inst, Time::new(at), &arena, &pending)
+                        .with_availability(&avail);
+                    let rp = rp.get_or_insert_with(|| Replanner::new(&view));
+                    rp.begin(&view);
+                    let mut work = Work::default();
+                    for &s in &stretches {
+                        let probe = rp.probe(&view, s, &mut work);
+                        let (feasible, plan) = try_stretch(&view, s);
+                        prop_assert_eq!(probe.feasible, feasible, "feasibility at s = {}", s);
+                        prop_assert_eq!(plan_of(rp, &view, &probe), plan, "plan at s = {}", s);
+                    }
+                    prop_assert!(work.memo_hits as usize >= repeats, "{:?}", work);
+                    prop_assert_eq!(work.probes, work.memo_hits + work.placements);
+                }
+            }
+
+            /// End to end: the production policy and the reference
+            /// policy give the same schedule over Kang and Random-CCR
+            /// instances, flat or re-homed on a tier graph, with and
+            /// without fault plans, at α = 1 and α ≠ 1.
+            #[test]
+            fn memoized_policy_matches_naive(
+                kang in any::<bool>(),
+                n in 2usize..30,
+                seed in 0u64..1000,
+                num_cloud in 1usize..6,
+                depth in 0usize..4,
+                hops in proptest::collection::vec((0.5f64..3.0, 0.5f64..3.0), 3),
+                faults in prop_oneof![
+                    2 => Just(None),
+                    3 => (20.0f64..200.0, 1.0f64..10.0, 0u64..1000).prop_map(Some),
+                ],
+                alpha in prop_oneof![3 => Just(1.0f64), 1 => Just(1.5f64)],
+            ) {
+                let inst = if kang {
+                    KangConfig { num_edge: 4, num_cloud, n, ..KangConfig::default() }
+                        .generate(seed)
+                } else {
+                    RandomCcrConfig {
+                        n,
+                        num_cloud,
+                        slow_edges: 2,
+                        fast_edges: 2,
+                        ..RandomCcrConfig::default()
+                    }
+                    .generate(seed)
+                };
+                let inst = if depth == 0 {
+                    inst
+                } else {
+                    let spec = &inst.spec;
+                    let b = PlatformSpec::builder()
+                        .edges(spec.edges().map(|j| spec.edge_speed(j)));
+                    let mut b = hops[..depth].iter().fold(b, |b, &(up, dn)| b.tier(up, dn));
+                    for (i, k) in spec.clouds().enumerate() {
+                        b = b.cloud_at(spec.cloud_speed(k), 1 + i % depth);
+                    }
+                    Instance::new(b.build(), inst.jobs.clone()).unwrap()
+                };
+                let fast = run(&inst, &mut SsfEdf::with_params(alpha, 1e-3), faults);
+                let naive = run(&inst, &mut SsfEdfNaive::new(alpha), faults);
+                prop_assert_eq!(&fast.schedule, &naive.schedule);
+                prop_assert_eq!(fast.stats.restarts, naive.stats.restarts);
+            }
         }
     }
 }

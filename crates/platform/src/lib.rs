@@ -57,7 +57,7 @@ pub use mmsec_obs as obs;
 pub use mmsec_obs::{Observer, ObserverHandle};
 pub use render::{gantt, GanttOptions};
 pub use schedule::Schedule;
-pub use spec::{CloudId, EdgeId, PlatformSpec, SpecBuilder};
+pub use spec::{CloudClasses, CloudId, EdgeId, PlatformSpec, SpecBuilder};
 pub use state::{JobArena, JobState, PlatformError, PlatformMutation, PlatformState};
 pub use stats::{schedule_stats, ScheduleStats};
 pub use tier::{TierClass, TierTopology};

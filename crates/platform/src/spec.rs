@@ -408,6 +408,78 @@ impl PlatformSpec {
     }
 }
 
+/// Every cloud unit of a spec (live or not) grouped by the exact bits of
+/// its `(speed, path_up, path_dn)` triple: classes in first-seen unit
+/// order, members ascending within each class.
+///
+/// Two members of one class price every job identically, so a placement
+/// scan over a projection in which neither has been placed on sees them
+/// tie — the lower index wins — and can stop each class at its first
+/// such member. On a flat platform every path factor is exactly `1.0`,
+/// so the classes are the pure speed classes.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CloudClasses {
+    /// Members of every class, class after class.
+    members: Vec<CloudId>,
+    /// `members[starts[c]..starts[c + 1]]` is class `c`.
+    starts: Vec<usize>,
+    /// Class index of each cloud unit.
+    class_of: Vec<u32>,
+}
+
+impl CloudClasses {
+    /// Groups the cloud units of `spec`.
+    pub fn of(spec: &PlatformSpec) -> Self {
+        let mut keys: Vec<(u64, u64, u64)> = Vec::new();
+        let class_of: Vec<u32> = spec
+            .clouds()
+            .map(|k| {
+                let key = (
+                    spec.cloud_speed(k).to_bits(),
+                    spec.path_up(k).to_bits(),
+                    spec.path_dn(k).to_bits(),
+                );
+                let c = keys.iter().position(|&x| x == key).unwrap_or_else(|| {
+                    keys.push(key);
+                    keys.len() - 1
+                });
+                c as u32
+            })
+            .collect();
+        let mut members = Vec::with_capacity(class_of.len());
+        let mut starts = vec![0];
+        for c in 0..keys.len() as u32 {
+            members.extend(spec.clouds().filter(|k| class_of[k.0] == c));
+            starts.push(members.len());
+        }
+        CloudClasses {
+            members,
+            starts,
+            class_of,
+        }
+    }
+
+    /// Number of classes.
+    pub fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// True when the spec has no cloud unit.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The classes in order, each as its ascending member list.
+    pub fn groups(&self) -> impl ExactSizeIterator<Item = &[CloudId]> + '_ {
+        self.starts.windows(2).map(|w| &self.members[w[0]..w[1]])
+    }
+
+    /// Class index of cloud unit `k`.
+    pub fn class_of(&self, k: CloudId) -> usize {
+        self.class_of[k.0] as usize
+    }
+}
+
 /// Typed, chainable construction of a [`PlatformSpec`].
 ///
 /// Edge units first, then — for a continuum platform — alternate
@@ -612,6 +684,46 @@ mod tests {
         assert_eq!(spec.comm_rate_up(CloudId(1)), 1.0 / 2.5);
         // Two pricing classes: (0.8 @ tier 1) and (1.0 @ tier 2).
         assert_eq!(spec.tier_topology().unwrap().classes().len(), 2);
+    }
+
+    #[test]
+    fn cloud_classes_group_by_speed_and_path() {
+        // Same speed on two tiers is two classes; classes in first-seen
+        // order, members ascending.
+        let spec = PlatformSpec::builder()
+            .edge(0.5)
+            .tier(1.0, 1.0)
+            .clouds([1.0, 2.0, 1.0])
+            .tier(1.0, 1.0)
+            .clouds([1.0, 2.0])
+            .build();
+        let classes = CloudClasses::of(&spec);
+        let groups: Vec<&[CloudId]> = classes.groups().collect();
+        assert_eq!(
+            groups,
+            vec![
+                &[CloudId(0), CloudId(2)][..],
+                &[CloudId(1)][..],
+                &[CloudId(3)][..],
+                &[CloudId(4)][..],
+            ]
+        );
+        assert_eq!(classes.len(), 4);
+        assert_eq!(classes.class_of(CloudId(2)), 0);
+        assert_eq!(classes.class_of(CloudId(4)), 3);
+        // Flat: pure speed classes; no cloud: no class.
+        let flat = PlatformSpec::builder()
+            .edge(0.5)
+            .clouds([2.0, 1.0, 2.0])
+            .build();
+        let flat_classes = CloudClasses::of(&flat);
+        let groups: Vec<&[CloudId]> = flat_classes.groups().collect();
+        assert_eq!(
+            groups,
+            vec![&[CloudId(0), CloudId(2)][..], &[CloudId(1)][..]]
+        );
+        let none = PlatformSpec::builder().edge(0.5).build();
+        assert!(CloudClasses::of(&none).is_empty());
     }
 
     #[test]
