@@ -12,13 +12,11 @@
 //! mmsec trace import --trace trace.ndjson --out inst.txt
 //! ```
 
-use mmsec_apps::cli::{fail, CliError};
+use mmsec_apps::cli::{fail, run_or_replay, CliError};
 use mmsec_apps::serve::{serve, ServeConfig};
 use mmsec_apps::server::{run_listener, run_sharded, Listen, ServerConfig};
 use mmsec_core::PolicyKind;
-use mmsec_platform::obs::{
-    ChromeTraceWriter, Fanout, FlightRecorder, MetricsRecorder, PhaseProfiler, Shared,
-};
+use mmsec_platform::obs::{ChromeTraceWriter, Fanout, MetricsRecorder, PhaseProfiler, Shared};
 use mmsec_platform::{
     gantt, validate, FaultConfig, GanttOptions, Instance, Simulation, StretchReport, Target,
 };
@@ -180,7 +178,6 @@ fn main() {
             let Some(kind) = PolicyKind::parse(policy_name) else {
                 fail(CliError::Usage(format!("unknown policy {policy_name}")));
             };
-            let mut policy = kind.build(get(&flags, "seed", 0));
             let verbose = flags.contains_key("verbose");
             let engine_opts = mmsec_platform::EngineOptions {
                 record_events: verbose,
@@ -215,15 +212,13 @@ fn main() {
                 .compile(fault_seed, horizon)
             });
 
-            // Observability: register the requested sinks plus an
-            // always-on flight recorder (pure telemetry — the run is
-            // bit-identical with or without observers, and the ring is
-            // what makes a stall dump possible at all), shared between
-            // the engine and the policy (SSF-EDF reports its
-            // binary-search probes).
+            // Observability: the requested sinks, shared between the
+            // engine and the policy (SSF-EDF reports its binary-search
+            // probes). A run without `--metrics`/`--trace` attaches no
+            // observer at all; a failed run is replayed with a flight
+            // recorder instead (`run_or_replay`), which names the dump.
             let metrics = Shared::new(MetricsRecorder::new());
             let chrome = Shared::new(ChromeTraceWriter::new());
-            let flight = Shared::new(FlightRecorder::default());
             let mut fan = Fanout::new();
             if flags.contains_key("metrics") {
                 fan.push(Box::new(metrics.clone()));
@@ -231,31 +226,20 @@ fn main() {
             if flags.contains_key("trace") {
                 fan.push(Box::new(chrome.clone()));
             }
-            fan.push(Box::new(flight.clone()));
-            let shared_fan = Shared::new(fan);
-            policy.attach_observer(shared_fan.handle());
-            let mut engine_side = shared_fan.clone();
+            let observer = (!fan.is_empty()).then(|| Shared::new(fan).handle());
 
             let mut profiler = PhaseProfiler::new();
             let profiling = flags.contains_key("profile");
-
-            let mut sim = Simulation::of(&inst)
-                .policy(policy.as_mut())
-                .options(engine_opts)
-                .observer(&mut engine_side);
-            if let Some(plan) = &fault_plan {
-                sim = sim.faults(plan);
-            }
-            if profiling {
-                sim = sim.profiler(&mut profiler);
-            }
-            let out = sim.run().unwrap_or_else(|e| {
-                let mut msg = format!("simulation failed: {e}");
-                if let Some(path) = flight.with(|f| f.dump("run")) {
-                    msg.push_str(&format!(" (flight recording: {})", path.display()));
-                }
-                fail(CliError::Failure(msg))
-            });
+            let seed = get(&flags, "seed", 0);
+            let out = run_or_replay(
+                &inst,
+                &mut || kind.build(seed),
+                engine_opts,
+                fault_plan.as_ref(),
+                observer,
+                profiling.then_some(&mut profiler),
+            )
+            .unwrap_or_else(|f| fail(CliError::Failure(f.to_string())));
             if let Err(violations) = validate(&inst, &out.schedule) {
                 let mut msg = format!("INVALID schedule ({} violations):", violations.len());
                 for v in violations.iter().take(10) {

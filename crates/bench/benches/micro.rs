@@ -289,6 +289,23 @@ fn bench_decide_path_high_n(c: &mut Criterion) {
             Simulation::of(&inst).policy(policy.as_mut()).run().unwrap()
         });
     });
+    // Load 1.0: large pending sets, so SRPT's decide calls most
+    // `best_startable` for jobs the continuation bar settles.
+    let loaded = RandomCcrConfig {
+        n: 5000,
+        load: 1.0,
+        ..RandomCcrConfig::default()
+    }
+    .generate(5);
+    group.bench_function("simulate_5000_srpt_load1", |b| {
+        b.iter(|| {
+            let mut policy = PolicyKind::Srpt.build(1);
+            Simulation::of(&loaded)
+                .policy(policy.as_mut())
+                .run()
+                .unwrap()
+        });
+    });
     // n=50_000: an order of magnitude past the CI smoke sizes, where the
     // calendar queue's O(1) pops and the arena's flat columns are the
     // difference between seconds and minutes. Sample count is minimal —

@@ -15,7 +15,7 @@
 
 use mmsec_platform::projection::{Forecast, Projection};
 use mmsec_platform::resource::{ResourceId, ResourceMap};
-use mmsec_platform::{CloudClasses, CloudId, EdgeId, Job, JobId, JobState, Phase, SimView, Target};
+use mmsec_platform::{CloudClasses, CloudId, Job, JobId, JobState, Phase, SimView, Target};
 use mmsec_sim::time::approx;
 use mmsec_sim::Time;
 use std::cell::Cell;
@@ -31,42 +31,21 @@ pub fn first_phase(view: &SimView<'_>, id: JobId, target: Target) -> Option<Phas
     }
     match target {
         Target::Edge => approx::positive(job.work).then_some(Phase::Compute),
-        Target::Cloud(_) => {
-            if approx::positive(job.up) {
-                Some(Phase::Uplink)
-            } else if approx::positive(job.work) {
-                Some(Phase::Compute)
-            } else if approx::positive(job.dn) {
-                Some(Phase::Downlink)
-            } else {
-                None
-            }
-        }
+        Target::Cloud(_) => fresh_cloud_phase(job),
     }
 }
 
-/// Cross-job interference scope of one claim, recorded so later pops can
-/// prove a cached [`StartOption`] survived it (see
-/// [`RoundState::exact_since`]) or repair it against only what the claim
-/// actually wrote (see [`RoundState::refresh_option`]).
-///
-/// Outside its own origin edge, a claim writes exactly two places: the
-/// profiles/busy marks of its target cloud (`cloud`), and the backlog of
-/// the cloud CPU it retired its committed contribution from
-/// (`retired_cloud`). Both `None` means the claim was edge-confined — its
-/// entire write set (busy mark, profile move, dirt, and retirement) sat
-/// on `EdgeCpu(origin)`.
-#[derive(Clone, Copy, Debug)]
-struct ClaimScope {
-    /// Origin edge of the claimed job.
-    origin: usize,
-    /// Cloud whose profiles (and busy marks) the claim moved; `None` for
-    /// an edge claim.
-    cloud: Option<CloudId>,
-    /// Cloud CPU whose backlog the claim retired — the claimed job had
-    /// committed cloud progress; `None` when the retirement was absent or
-    /// sat on the claimant's own edge CPU.
-    retired_cloud: Option<CloudId>,
+/// First phase of a from-scratch start on any cloud.
+fn fresh_cloud_phase(job: &Job) -> Option<Phase> {
+    if approx::positive(job.up) {
+        Some(Phase::Uplink)
+    } else if approx::positive(job.work) {
+        Some(Phase::Compute)
+    } else if approx::positive(job.dn) {
+        Some(Phase::Downlink)
+    } else {
+        None
+    }
 }
 
 /// A placement option that can start immediately.
@@ -84,6 +63,22 @@ pub struct StartOption {
     /// The winning candidate's full forecast — cached so claiming applies
     /// the already-computed reservations instead of forecasting again.
     pub(crate) forecast: Forecast,
+}
+
+/// Decide work a [`RoundState`] performed, summed over its lifetime.
+/// Deterministic, so tests can gate the bar prune on work done instead
+/// of on wall-clock time.
+#[derive(Clone, Copy, Debug, Default)]
+#[cfg_attr(not(test), allow(dead_code))]
+pub(crate) struct Work {
+    /// [`RoundState::best_startable`] calls.
+    pub(crate) calls: u64,
+    /// Calls the continuation bar ended before the edge and cloud scans.
+    pub(crate) at_bar: u64,
+    /// Cloud candidates the cloud scan scored.
+    pub(crate) cloud_scored: u64,
+    /// Projection walks taken to score a candidate.
+    pub(crate) walks: u64,
 }
 
 /// State of one decision round (one event).
@@ -104,7 +99,7 @@ pub struct RoundState {
     /// Remaining CPU-seconds of unclaimed committed jobs, per CPU.
     backlog: ResourceMap<f64>,
     /// Which CPU each unclaimed committed job contributes backlog to.
-    contribution: Vec<Option<(mmsec_platform::resource::ResourceId, f64)>>,
+    contribution: Vec<Option<(ResourceId, f64)>>,
     /// Jobs whose `contribution` entry was set this round, so `reset` can
     /// clear them without an O(n) sweep.
     contributors: Vec<usize>,
@@ -129,9 +124,6 @@ pub struct RoundState {
     /// CPUs `gather` credited backlog to this round (duplicates allowed),
     /// so `reset` zeroes only those.
     backlog_cpus: Vec<ResourceId>,
-    /// One entry per claim this round, in claim order (`claim_log.len()
-    /// == claims`): the interference scope consulted by `exact_since`.
-    claim_log: Vec<ClaimScope>,
     /// Number of claims applied this round. Doubles as a staleness tag:
     /// a [`StartOption`] computed at claim count `c` is exactly current
     /// as long as the count is still `c` (nothing mutated the round in
@@ -150,18 +142,8 @@ pub struct RoundState {
     dirty_edge_in: Vec<bool>,
     /// Any of cloud `k`'s three resources moved (a claim landed on `k`).
     dirty_cloud: Vec<bool>,
-    /// Cross-epoch quotient cache for fresh *edge* candidates:
-    /// `fresh_edge_div[i]` holds `job.work / edge_speed(origin)` — a
-    /// run-long constant per job, yet recomputed by every round's scan
-    /// before this cache. NaN marks "not computed yet" (volumes and
-    /// speeds are finite and positive, so a real quotient is never NaN).
-    /// Entries survive `reset`; the platform-version rebuild — exactly
-    /// when speeds can change — drops them.
-    fresh_edge_div: Vec<Cell<f64>>,
-    /// Same for fresh *cloud* candidates, one quotient per (job, speed
-    /// class): `fresh_cloud_div[i * classes.len() + class]` holds
-    /// `job.work / class_speed`.
-    fresh_cloud_div: Vec<Cell<f64>>,
+    /// Work counters; survive `reset` and platform rebuilds.
+    work: Cell<Work>,
 }
 
 impl RoundState {
@@ -169,28 +151,24 @@ impl RoundState {
     /// pending job with progress on a committed target.
     pub fn new(view: &SimView<'_>) -> Self {
         let spec = view.spec();
-        let classes = CloudClasses::of(spec);
-        let num_classes = classes.len();
         let mut round = RoundState {
             proj: Projection::from_view(view),
             busy_now: ResourceMap::new(spec, false),
             backlog: ResourceMap::new(spec, 0.0f64),
             contribution: vec![None; view.jobs.len()],
             contributors: Vec::new(),
-            classes,
+            classes: CloudClasses::of(spec),
             touched: vec![false; spec.num_cloud()],
             touched_list: Vec::new(),
             version: view.platform_version(),
             busy_list: Vec::new(),
             backlog_cpus: Vec::new(),
-            claim_log: Vec::new(),
             claims: 0,
             dirty_edge_cpu: vec![false; spec.num_edge()],
             dirty_edge_out: vec![false; spec.num_edge()],
             dirty_edge_in: vec![false; spec.num_edge()],
             dirty_cloud: vec![false; spec.num_cloud()],
-            fresh_edge_div: vec![Cell::new(f64::NAN); view.jobs.len()],
-            fresh_cloud_div: vec![Cell::new(f64::NAN); view.jobs.len() * num_classes],
+            work: Cell::new(Work::default()),
         };
         round.gather(view);
         round
@@ -205,7 +183,9 @@ impl RoundState {
         if self.version != view.platform_version() {
             // The platform mutated since the round was built: speed
             // classes, touched tables, and resource maps are all stale.
+            let work = self.work.get();
             *self = RoundState::new(view);
+            self.work.set(work);
             return;
         }
         self.proj.reset(view.now);
@@ -213,7 +193,6 @@ impl RoundState {
             self.busy_now[r] = false;
         }
         self.claims = 0;
-        self.claim_log.clear();
         self.dirty_edge_cpu.fill(false);
         self.dirty_edge_out.fill(false);
         self.dirty_edge_in.fill(false);
@@ -234,14 +213,6 @@ impl RoundState {
             self.contribution.clear();
             self.contribution.resize(view.jobs.len(), None);
         }
-        if self.fresh_edge_div.len() != view.jobs.len() {
-            // Jobs arrived since the last round (streaming sessions):
-            // keep the computed quotients, mark only the new tail unset.
-            self.fresh_edge_div
-                .resize(view.jobs.len(), Cell::new(f64::NAN));
-            self.fresh_cloud_div
-                .resize(view.jobs.len() * self.classes.len(), Cell::new(f64::NAN));
-        }
         self.gather(view);
     }
 
@@ -260,11 +231,11 @@ impl RoundState {
             let job = view.job(id);
             let (cpu, amount) = match target {
                 Target::Edge => (
-                    mmsec_platform::resource::ResourceId::EdgeCpu(job.origin),
+                    ResourceId::EdgeCpu(job.origin),
                     jobs.remaining_work(i, job) / spec.edge_speed(job.origin),
                 ),
                 Target::Cloud(k) => (
-                    mmsec_platform::resource::ResourceId::CloudCpu(k),
+                    ResourceId::CloudCpu(k),
                     jobs.remaining_work(i, job) / spec.cloud_speed(k),
                 ),
             };
@@ -287,33 +258,16 @@ impl RoundState {
         }
     }
 
-    /// Cached `work / speed` for job `i`'s fresh edge candidate,
-    /// computed on first use (IEEE division is deterministic, so the
-    /// cached quotient is bit-identical to recomputing it).
-    fn fresh_edge_quot(&self, i: usize, work: f64, speed: f64) -> f64 {
-        let cell = &self.fresh_edge_div[i];
-        let q = cell.get();
-        if q.is_nan() {
-            let q = work / speed;
-            cell.set(q);
-            q
-        } else {
-            q
-        }
+    fn count(&self, f: impl FnOnce(&mut Work)) {
+        let mut w = self.work.get();
+        f(&mut w);
+        self.work.set(w);
     }
 
-    /// Cached `work / class_speed` for job `i`'s fresh candidate on
-    /// speed class `class`.
-    fn fresh_cloud_quot(&self, i: usize, class: usize, work: f64, speed: f64) -> f64 {
-        let cell = &self.fresh_cloud_div[i * self.classes.len() + class];
-        let q = cell.get();
-        if q.is_nan() {
-            let q = work / speed;
-            cell.set(q);
-            q
-        } else {
-            q
-        }
+    /// The work counters so far.
+    #[cfg(test)]
+    pub(crate) fn work(&self) -> Work {
+        self.work.get()
     }
 
     /// Backlog a candidate target's CPU carries, excluding `id`'s own
@@ -321,8 +275,8 @@ impl RoundState {
     fn foreign_backlog(&self, view: &SimView<'_>, id: JobId, target: Target) -> f64 {
         let job = view.job(id);
         let cpu = match target {
-            Target::Edge => mmsec_platform::resource::ResourceId::EdgeCpu(job.origin),
-            Target::Cloud(k) => mmsec_platform::resource::ResourceId::CloudCpu(k),
+            Target::Edge => ResourceId::EdgeCpu(job.origin),
+            Target::Cloud(k) => ResourceId::CloudCpu(k),
         };
         let mut b = self.backlog[cpu];
         if let Some((own_cpu, amount)) = self.contribution[id.0] {
@@ -331,6 +285,53 @@ impl RoundState {
             }
         }
         b.max(0.0)
+    }
+
+    /// `(penalized score, option)` of a candidate whose forecast `f` is
+    /// already known.
+    fn scored(
+        &self,
+        view: &SimView<'_>,
+        id: JobId,
+        target: Target,
+        phase: Phase,
+        f: Forecast,
+    ) -> (Time, StartOption) {
+        let penalized = f.completion + Time::new(self.foreign_backlog(view, id, target));
+        let opt = StartOption {
+            target,
+            completion: f.completion,
+            phase,
+            forecast: f,
+        };
+        (penalized, opt)
+    }
+
+    /// True when some from-scratch candidate of `job` could score below
+    /// `bar`. Each such candidate's penalized score is at least its
+    /// pristine closed-form completion: a forecast is monotone in the
+    /// profile free times (all `>= now`), IEEE addition rounds
+    /// monotonically, and the backlog penalty is `>= 0`. That completion
+    /// depends on the cloud only through its class, so one forecast per
+    /// class plus the edge's bounds them all.
+    fn scratch_can_beat(&self, view: &SimView<'_>, job: &Job, edge: bool, bar: Time) -> bool {
+        let spec = view.spec();
+        let now = view.now;
+        if edge && now + Time::new(job.work / spec.edge_speed(job.origin)) < bar {
+            return true;
+        }
+        self.classes.groups().any(|class| {
+            let k = class[0];
+            let f = Forecast::pristine(
+                Target::Cloud(k),
+                job.up * spec.path_up(k),
+                job.work,
+                job.dn * spec.path_dn(k),
+                spec.cloud_speed(k),
+                now,
+            );
+            f.completion < bar
+        })
     }
 
     /// Best (earliest-completion) target on which `id` can start
@@ -344,8 +345,10 @@ impl RoundState {
     /// costs at least that optimistic estimate, so a restart failing the
     /// test can never pay off; without the guard, a job displaced for a
     /// single event restarts elsewhere, gets displaced again, and thrashes
-    /// away all its progress.
+    /// away all its progress. When no from-scratch candidate's lower
+    /// bound gets under that bar, the edge and cloud scans are skipped.
     pub fn best_startable(&self, view: &SimView<'_>, id: JobId) -> Option<StartOption> {
+        self.count(|w| w.calls += 1);
         let jobs = view.jobs;
         let i = id.0;
         let job = view.job(id);
@@ -366,115 +369,70 @@ impl RoundState {
         // most once, and not at all on the common all-clean call.
         let mut st_slot: Option<JobState> = None;
 
-        let mut best: Option<StartOption> = None;
-        let mut best_penalized = Time::new(f64::MAX);
-
         // Committed target first (wins ties through strict `<` below),
-        // with remaining volumes.
+        // with remaining volumes. Clean iff no profile the forecast would
+        // read moved this round: the CPU, plus the origin ports when the
+        // matching communication phase exists (the forecast reads
+        // `EdgeOut`/`EdgeIn` only when the volume is > 0 — mirror that
+        // predicate exactly).
+        let mut best: Option<(Time, StartOption)> = None;
         if let Some(t) = committed {
-            let cand = match t {
-                Target::Edge if !self.dirty_edge_cpu[e] => {
-                    if view.target_available(job.origin, t) {
-                        jobs.current_phase(i, job, t).map(|phase| {
-                            let f = Forecast::pristine(
-                                t,
-                                0.0,
-                                jobs.remaining_work(i, job),
-                                0.0,
-                                spec.edge_speed(job.origin),
-                                now,
-                            );
-                            let p = f.completion + Time::new(self.foreign_backlog(view, id, t));
-                            (
-                                p,
-                                StartOption {
-                                    target: t,
-                                    completion: f.completion,
-                                    phase,
-                                    forecast: f,
-                                },
-                            )
-                        })
-                    } else {
-                        None
-                    }
-                }
-                // Clean iff no profile the forecast would read moved this
-                // round: the cloud's own resources, plus the origin ports
-                // when the matching communication phase exists (the
-                // forecast reads `EdgeOut`/`EdgeIn` only when the volume
-                // is > 0 — mirror that predicate exactly).
-                Target::Cloud(k)
-                    if !self.dirty_cloud[k.0]
+            let clean = match t {
+                Target::Edge => !self.dirty_edge_cpu[e],
+                Target::Cloud(k) => {
+                    !self.dirty_cloud[k.0]
                         && (!self.dirty_edge_out[e] || jobs.remaining_up(i, job) <= 0.0)
-                        && (!self.dirty_edge_in[e] || jobs.remaining_dn(i, job) <= 0.0) =>
-                {
-                    if view.target_available(job.origin, t) {
-                        jobs.current_phase(i, job, t).map(|phase| {
-                            let f = Forecast::pristine(
-                                t,
-                                jobs.remaining_up(i, job) * spec.path_up(k),
-                                jobs.remaining_work(i, job),
-                                jobs.remaining_dn(i, job) * spec.path_dn(k),
-                                spec.cloud_speed(k),
-                                now,
-                            );
-                            let p = f.completion + Time::new(self.foreign_backlog(view, id, t));
-                            (
-                                p,
-                                StartOption {
-                                    target: t,
-                                    completion: f.completion,
-                                    phase,
-                                    forecast: f,
-                                },
-                            )
-                        })
-                    } else {
-                        None
-                    }
-                }
-                _ => {
-                    let st = st_slot.get_or_insert_with(|| view.state(id));
-                    self.evaluate(view, id, st, job, t, continuation_bar)
+                        && (!self.dirty_edge_in[e] || jobs.remaining_dn(i, job) <= 0.0)
                 }
             };
-            if let Some((p, opt)) = cand {
-                if p < best_penalized {
-                    best_penalized = p;
-                    best = Some(opt);
-                }
+            best = if !clean {
+                let st = st_slot.get_or_insert_with(|| view.state(id));
+                self.evaluate(view, id, st, job, t, continuation_bar)
+            } else if view.target_available(job.origin, t) {
+                jobs.current_phase(i, job, t).map(|phase| {
+                    let (up, dn, speed) = match t {
+                        Target::Edge => (0.0, 0.0, spec.edge_speed(job.origin)),
+                        Target::Cloud(k) => (
+                            jobs.remaining_up(i, job) * spec.path_up(k),
+                            jobs.remaining_dn(i, job) * spec.path_dn(k),
+                            spec.cloud_speed(k),
+                        ),
+                    };
+                    let f = Forecast::pristine(t, up, jobs.remaining_work(i, job), dn, speed, now);
+                    self.scored(view, id, t, phase, f)
+                })
+            } else {
+                None
+            };
+        }
+
+        // The bar prune: every from-scratch candidate below would fail
+        // the re-execution guard, so the committed candidate stands.
+        if let Some(bar) = continuation_bar {
+            if !self.scratch_can_beat(view, job, committed != Some(Target::Edge), bar) {
+                self.count(|w| w.at_bar += 1);
+                return best.map(|(_, opt)| opt);
             }
         }
+        let mut best_penalized = best.map_or(Time::new(f64::MAX), |(p, _)| p);
+        let mut best = best.map(|(_, opt)| opt);
+        let loses_to_bar = |p: Time| matches!(continuation_bar, Some(bar) if p >= bar);
 
         // The edge, from-scratch volumes. When committed there the
         // candidate above already scored it; a re-evaluation ties and
         // loses on strict `<`, so it is skipped.
         if committed != Some(Target::Edge) {
-            let cand = if !self.dirty_edge_cpu[e] {
-                if view.target_available(job.origin, Target::Edge) && approx::positive(job.work) {
-                    let exec = self.fresh_edge_quot(i, job.work, spec.edge_speed(job.origin));
-                    let f = Forecast::pristine_quot(Target::Edge, 0.0, exec, 0.0, now);
-                    let p = f.completion + Time::new(self.foreign_backlog(view, id, Target::Edge));
-                    if matches!(continuation_bar, Some(bar) if p >= bar) {
-                        None
-                    } else {
-                        Some((
-                            p,
-                            StartOption {
-                                target: Target::Edge,
-                                completion: f.completion,
-                                phase: Phase::Compute,
-                                forecast: f,
-                            },
-                        ))
-                    }
-                } else {
-                    None
-                }
-            } else {
+            let cand = if self.dirty_edge_cpu[e] {
                 let st = st_slot.get_or_insert_with(|| view.state(id));
                 self.evaluate(view, id, st, job, Target::Edge, continuation_bar)
+            } else if view.target_available(job.origin, Target::Edge) && approx::positive(job.work)
+            {
+                let speed = spec.edge_speed(job.origin);
+                let f = Forecast::pristine(Target::Edge, 0.0, job.work, 0.0, speed, now);
+                Some(self.scored(view, id, Target::Edge, Phase::Compute, f))
+                    .filter(|&(p, _)| !loses_to_bar(p))
+            } else {
+                None
             };
             if let Some((p, opt)) = cand {
                 if p < best_penalized {
@@ -487,93 +445,60 @@ impl RoundState {
         // Cloud scan. An ascending index scan with strict `<` selects the
         // lowest-indexed cloud achieving the minimum penalized score —
         // the lexicographic minimum of (penalized, k) — so clouds may be
-        // visited grouped by speed instead of by index. Within a group,
+        // visited grouped by class instead of by index. Within a class,
         // untouched clouds are indistinguishable (identical profiles,
-        // zero backlog, shared origin inputs), so each group's scan stops
+        // zero backlog, shared origin inputs), so each class's scan stops
         // at its first untouched cloud: later untouched members tie and
         // lose on index, touched members can only score worse. Clean
         // members (touched or not) share one closed-form forecast per
-        // group and differ only in the backlog penalty; members whose
+        // class and differ only in the backlog penalty; members whose
         // profiles moved this round take the full projection walk.
-        let fresh_cloud_phase = if approx::positive(job.up) {
-            Some(Phase::Uplink)
-        } else if approx::positive(job.work) {
-            Some(Phase::Compute)
-        } else if approx::positive(job.dn) {
-            Some(Phase::Downlink)
-        } else {
-            None
+        let Some(cphase) = fresh_cloud_phase(job) else {
+            return best;
         };
-        let ports_clean_up = !self.dirty_edge_out[e] || job.up <= 0.0;
-        let ports_clean_dn = !self.dirty_edge_in[e] || job.dn <= 0.0;
+        let ports_clean =
+            (!self.dirty_edge_out[e] || job.up <= 0.0) && (!self.dirty_edge_in[e] || job.dn <= 0.0);
         let mut cloud_best: Option<(Time, CloudId, StartOption)> = None;
-        if let Some(cphase) = fresh_cloud_phase {
-            for (ci, class) in self.classes.groups().enumerate() {
-                let mut class_fc: Option<Forecast> = None;
-                for &k in class {
-                    if committed == Some(Target::Cloud(k)) {
-                        // Already evaluated above; the score is identical
-                        // and strict `<` would discard the re-evaluation.
-                        continue;
+        for class in self.classes.groups() {
+            let mut class_fc: Option<Forecast> = None;
+            for &k in class {
+                let t = Target::Cloud(k);
+                if committed == Some(t) {
+                    // Already evaluated above; the score is identical
+                    // and strict `<` would discard the re-evaluation.
+                    continue;
+                }
+                if !view.target_available(job.origin, t) {
+                    continue; // a down cloud does not end the class scan
+                }
+                self.count(|w| w.cloud_scored += 1);
+                let cand = if ports_clean && !self.dirty_cloud[k.0] {
+                    let f = *class_fc.get_or_insert_with(|| {
+                        let (up, dn) = (job.up * spec.path_up(k), job.dn * spec.path_dn(k));
+                        Forecast::pristine(t, up, job.work, dn, spec.cloud_speed(k), now)
+                    });
+                    Some(self.scored(view, id, t, cphase, f)).filter(|&(p, _)| !loses_to_bar(p))
+                } else {
+                    let st = st_slot.get_or_insert_with(|| view.state(id));
+                    self.evaluate(view, id, st, job, t, continuation_bar)
+                };
+                if let Some((p, opt)) = cand {
+                    if cloud_best
+                        .as_ref()
+                        .map_or(true, |&(bp, bk, _)| p < bp || (p == bp && k.0 < bk.0))
+                    {
+                        cloud_best = Some((p, k, opt));
                     }
-                    let touched = self.touched[k.0];
-                    if !view.target_available(job.origin, Target::Cloud(k)) {
-                        continue; // a down cloud does not end the group scan
-                    }
-                    let clean = !self.dirty_cloud[k.0] && ports_clean_up && ports_clean_dn;
-                    let cand = if clean {
-                        let f = *class_fc.get_or_insert_with(|| {
-                            let exec = self.fresh_cloud_quot(i, ci, job.work, spec.cloud_speed(k));
-                            Forecast::pristine_quot(
-                                Target::Cloud(k),
-                                job.up * spec.path_up(k),
-                                exec,
-                                job.dn * spec.path_dn(k),
-                                now,
-                            )
-                        });
-                        // `id`'s own contribution sits on its committed
-                        // CPU, which this scan skips — no subtraction.
-                        let p = f.completion
-                            + Time::new(self.backlog[ResourceId::CloudCpu(k)].max(0.0));
-                        if matches!(continuation_bar, Some(bar) if p >= bar) {
-                            None
-                        } else {
-                            Some((
-                                p,
-                                StartOption {
-                                    target: Target::Cloud(k),
-                                    completion: f.completion,
-                                    phase: cphase,
-                                    forecast: f,
-                                },
-                            ))
-                        }
-                    } else {
-                        let st = st_slot.get_or_insert_with(|| view.state(id));
-                        self.evaluate(view, id, st, job, Target::Cloud(k), continuation_bar)
-                    };
-                    if let Some((p, opt)) = cand {
-                        let better = match &cloud_best {
-                            None => true,
-                            Some((bp, bk, _)) => p < *bp || (p == *bp && k.0 < bk.0),
-                        };
-                        if better {
-                            cloud_best = Some((p, k, opt));
-                        }
-                    }
-                    if !touched {
-                        break;
-                    }
+                }
+                if !self.touched[k.0] {
+                    break;
                 }
             }
         }
-        if let Some((p, _, opt)) = cloud_best {
-            if p < best_penalized {
-                best = Some(opt);
-            }
+        match cloud_best {
+            Some((p, _, opt)) if p < best_penalized => Some(opt),
+            _ => best,
         }
-        best
     }
 
     /// Number of [`Self::claim`]/[`Self::claim_option`] calls since the
@@ -583,55 +508,11 @@ impl RoundState {
         self.claims
     }
 
-    /// True iff a [`StartOption`] computed for a job originating at
-    /// `origin` when the claim count was `tag` is still *exactly* what
-    /// [`Self::best_startable`] would return now.
-    ///
-    /// Trivially true when nothing was claimed since. Otherwise it holds
-    /// when every intervening claim was edge-confined (`ClaimScope`) on a
-    /// *different* edge: such a claim's entire write set — busy mark,
-    /// profile move, dirt bit, and backlog retirement, all on
-    /// `EdgeCpu(other)` — is disjoint from everything a best-startable
-    /// call for an `origin` job reads (its own edge's CPU and ports, its
-    /// committed target, and the touched-cloud scan, whose membership an
-    /// edge claim never changes). Cloud claims never qualify: they touch
-    /// their cloud, and the scan of *every* job visits touched clouds.
-    pub fn exact_since(&self, tag: u32, origin: EdgeId) -> bool {
-        self.claim_log[tag as usize..]
-            .iter()
-            .all(|c| c.origin != origin.0 && c.cloud.is_none() && c.retired_cloud.is_none())
-    }
-
     /// Refreshes a [`StartOption`] cached at claim count `tag`: returns
-    /// exactly what [`Self::best_startable`] would return for `id` *now*,
-    /// but — whenever the intervening claims' interference can be
-    /// localized — by re-scoring only the clouds whose score for `id` can
-    /// have *improved* instead of rescanning the whole platform. `cached`
-    /// must be the option `best_startable` returned for `id` against this
-    /// round when the claim count was `tag`.
-    ///
-    /// Soundness of the delta path: a claim by a job from a *different*
-    /// edge writes, outside its own origin's CPU and ports (which nothing
-    /// in `id`'s evaluation reads), exactly the `ClaimScope` cloud set —
-    /// its target cloud's profiles and the backlog of the cloud CPU it
-    /// retired from. Reserving resources only advances their free times,
-    /// and a forecast is monotone in each of them, so the target write
-    /// can make that cloud only *worse* for `id`; a candidate that lost
-    /// to `cached` at `tag` still loses, and only the *retired* clouds —
-    /// whose backlog penalty dropped — can overtake it. `cached` itself
-    /// keeps its score and startability (its penalty can only have
-    /// *decreased*, so it still beats every unchanged candidate it beat
-    /// at `tag`). The fresh argmin is therefore `cached` versus the
-    /// re-scored retired clouds, compared under the scan's total order:
-    /// penalized score first, ties broken committed target → edge →
-    /// ascending cloud index. Each re-score is first bound-tested with
-    /// the closed-form pristine forecast (every resource free at `now` —
-    /// a lower bound on any projection walk over the same from-scratch
-    /// volumes) plus the current backlog; candidates whose bound already
-    /// loses skip the walk, and for clean clouds the bound *is* the
-    /// exact score. Falls back to the full scan when a claim shares
-    /// `id`'s origin, moved the cached target's own profiles, or the
-    /// delta outgrows its fixed buffer.
+    /// exactly what [`Self::best_startable`] would return for `id` *now*.
+    /// `cached` must be the option `best_startable` returned for `id`
+    /// against this round when the claim count was `tag`; it is reused
+    /// as is when nothing was claimed since.
     pub fn refresh_option(
         &self,
         view: &SimView<'_>,
@@ -639,165 +520,11 @@ impl RoundState {
         tag: u32,
         cached: &StartOption,
     ) -> Option<StartOption> {
-        /// Dedup-push; false on overflow (caller falls back to the scan).
-        fn push(delta: &mut [CloudId; 16], len: &mut usize, k: CloudId) -> bool {
-            if delta[..*len].contains(&k) {
-                return true;
-            }
-            if *len == delta.len() {
-                return false;
-            }
-            delta[*len] = k;
-            *len += 1;
-            true
-        }
-
-        let job = view.job(id);
-        let e = job.origin.0;
-        let cached_cloud = match cached.target {
-            Target::Cloud(q) => Some(q),
-            Target::Edge => None,
-        };
-        let mut delta = [CloudId(0); 16];
-        let mut delta_len = 0usize;
-        for c in &self.claim_log[tag as usize..] {
-            if c.origin == e {
-                return self.best_startable(view, id);
-            }
-            if c.cloud == cached_cloud && c.cloud.is_some() {
-                // The cached forecast itself is stale.
-                return self.best_startable(view, id);
-            }
-            // The claim's *target* needs no re-scoring beyond the check
-            // above: reserving resources only advances their profiles,
-            // and a forecast is monotone in every free time it reads, so
-            // a foreign claim can make its target cloud only *worse* for
-            // `id` — a candidate that lost to `cached` at `tag` still
-            // loses. Improvement flows solely through the backlog the
-            // claim retired.
-            if let Some(m) = c.retired_cloud {
-                // A retirement on the cached cloud only lowers its own
-                // penalty — covered by keeping `cached` as incumbent.
-                if Some(m) != cached_cloud && !push(&mut delta, &mut delta_len, m) {
-                    return self.best_startable(view, id);
-                }
-            }
-        }
-        if delta_len == 0 {
-            // Nothing `id` reads improved — the cached target's own
-            // backlog can only have dropped, and every other candidate
-            // only worsened; the cached option is still the argmin, bit
-            // for bit.
-            return Some(*cached);
-        }
-
-        // Total order of the full scan as an explicit key: penalized
-        // score, then a rank placing the committed target before the
-        // edge before ascending cloud indices. Distinct targets get
-        // distinct ranks, so the order is total and the argmin unique.
-        let jobs = view.jobs;
-        let i = id.0;
-        let committed = jobs.committed[i];
-        let rank = |t: Target| -> u64 {
-            if committed == Some(t) {
-                return 0;
-            }
-            match t {
-                Target::Edge => 1,
-                Target::Cloud(k) => 2 + k.0 as u64,
-            }
-        };
-        let has_progress = jobs.up_done[i] + jobs.work_done[i] + jobs.dn_done[i] > 0.0;
-        let continuation_bar: Option<Time> = match committed {
-            Some(t) if has_progress => {
-                Some(view.now + Time::new(jobs.remaining_time_on(i, job, t, view.spec())))
-            }
-            _ => None,
-        };
-        let spec = view.spec();
-        let now = view.now;
-        let mut st_slot: Option<JobState> = None;
-        let mut best = *cached;
-        let mut best_key = (
-            cached.completion + Time::new(self.foreign_backlog(view, id, cached.target)),
-            rank(cached.target),
-        );
-        let fresh_cloud_phase = if approx::positive(job.up) {
-            Some(Phase::Uplink)
-        } else if approx::positive(job.work) {
-            Some(Phase::Compute)
-        } else if approx::positive(job.dn) {
-            Some(Phase::Downlink)
+        if tag == self.claims {
+            Some(*cached)
         } else {
-            None
-        };
-        for &k in &delta[..delta_len] {
-            let t = Target::Cloud(k);
-            if committed == Some(t) {
-                // Continuation: scored on *remaining* volumes, so the
-                // from-scratch pristine bound below does not apply.
-                let st = st_slot.get_or_insert_with(|| view.state(id));
-                if let Some((p, opt)) = self.evaluate(view, id, st, job, t, continuation_bar) {
-                    let key = (p, rank(t));
-                    if key < best_key {
-                        best_key = key;
-                        best = opt;
-                    }
-                }
-                continue;
-            }
-            let Some(cphase) = fresh_cloud_phase else {
-                continue;
-            };
-            // Pristine bound: the closed-form forecast assumes every
-            // resource free at `now`, a lower bound on any projection
-            // walk for the same from-scratch volumes; adding the current
-            // backlog keeps it a lower bound on the penalized score. A
-            // candidate whose bound already loses to the incumbent under
-            // the scan's total order cannot become the argmin — skip it
-            // without touching the projection.
-            let ci = self.classes.class_of(k);
-            let exec = self.fresh_cloud_quot(i, ci, job.work, spec.cloud_speed(k));
-            let f = Forecast::pristine_quot(
-                t,
-                job.up * spec.path_up(k),
-                exec,
-                job.dn * spec.path_dn(k),
-                now,
-            );
-            let p_lb = f.completion + Time::new(self.backlog[ResourceId::CloudCpu(k)].max(0.0));
-            if (p_lb, rank(t)) >= best_key {
-                continue;
-            }
-            let clean = !self.dirty_cloud[k.0]
-                && (!self.dirty_edge_out[e] || job.up <= 0.0)
-                && (!self.dirty_edge_in[e] || job.dn <= 0.0);
-            if clean {
-                // The bound *is* the clean-path score, and it already
-                // beat the incumbent strictly.
-                if view.target_available(job.origin, t)
-                    && !matches!(continuation_bar, Some(bar) if p_lb >= bar)
-                {
-                    best_key = (p_lb, rank(t));
-                    best = StartOption {
-                        target: t,
-                        completion: f.completion,
-                        phase: cphase,
-                        forecast: f,
-                    };
-                }
-            } else {
-                let st = st_slot.get_or_insert_with(|| view.state(id));
-                if let Some((p, opt)) = self.evaluate(view, id, st, job, t, continuation_bar) {
-                    let key = (p, rank(t));
-                    if key < best_key {
-                        best_key = key;
-                        best = opt;
-                    }
-                }
-            }
+            self.best_startable(view, id)
         }
-        Some(best)
     }
 
     /// Evaluates one placement candidate: `Some((penalized_score, opt))`
@@ -825,9 +552,9 @@ impl RoundState {
         {
             return None;
         }
-        let spec = view.spec();
-        let f = self.proj.forecast(job, st, target, spec, view.now);
-        let penalized = f.completion + Time::new(self.foreign_backlog(view, id, target));
+        self.count(|w| w.walks += 1);
+        let f = self.proj.forecast(job, st, target, view.spec(), view.now);
+        let (penalized, opt) = self.scored(view, id, target, phase, f);
         if st.committed != Some(target) {
             if let Some(bar) = continuation_bar {
                 if penalized >= bar {
@@ -835,20 +562,12 @@ impl RoundState {
                 }
             }
         }
-        Some((
-            penalized,
-            StartOption {
-                target,
-                completion: f.completion,
-                phase,
-                forecast: f,
-            },
-        ))
+        Some((penalized, opt))
     }
 
     /// Reference implementation of [`Self::best_startable`]: the plain
-    /// ascending scan over every target, with no speed-class sharing.
-    /// The fast path must match it bit-for-bit (pinned by the
+    /// ascending scan over every target, with no class sharing and no
+    /// bar prune. The fast path must match it bit-for-bit (pinned by the
     /// `fast_path_matches_exhaustive_scan` proptest below).
     #[cfg(test)]
     fn best_startable_exhaustive(&self, view: &SimView<'_>, id: JobId) -> Option<StartOption> {
@@ -934,28 +653,13 @@ impl RoundState {
                 if f.has_dn {
                     self.dirty_edge_in[job.origin.0] = true;
                 }
+                self.touch(k);
             }
         }
-        let retired = self.contribution[id.0].take();
-        if let Some((cpu, amount)) = retired {
+        if let Some((cpu, amount)) = self.contribution[id.0].take() {
             self.backlog[cpu] = (self.backlog[cpu] - amount).max(0.0);
         }
-        if let Target::Cloud(k) = target {
-            self.touch(k);
-        }
-        self.claim_log.push(ClaimScope {
-            origin: job.origin.0,
-            cloud: match target {
-                Target::Edge => None,
-                Target::Cloud(k) => Some(k),
-            },
-            retired_cloud: retired.and_then(|(cpu, _)| match cpu {
-                ResourceId::CloudCpu(k) => Some(k),
-                _ => None, // `gather` only credits CPUs
-            }),
-        });
         self.claims += 1;
-        debug_assert_eq!(self.claims as usize, self.claim_log.len());
     }
 }
 
@@ -1143,6 +847,52 @@ mod tests {
         // fresh anywhere would take ≥ 4.
         assert_eq!(opt.target, Target::Cloud(CloudId(0)));
         assert_eq!(opt.completion, Time::new(4.0));
+    }
+
+    #[test]
+    fn bar_prune_keeps_the_committed_target() {
+        // Continuing on cloud 0 ends at 4; every fresh start ends at 6 or
+        // later, so the bar ends the call before the edge and cloud scans.
+        let (inst, mut states) = fixture();
+        states[0].committed = Some(Target::Cloud(CloudId(0)));
+        states[0].up_done = 1.0;
+        states[0].work_done = 1.0;
+        let arena = JobArena::from_states(&inst, &states);
+        let pending = PendingSet::from_states(&inst, &states);
+        let view = SimView::new(&inst, Time::new(2.0), &arena, &pending);
+        let round = RoundState::new(&view);
+        let opt = round.best_startable(&view, JobId(0)).unwrap();
+        assert_eq!(opt.target, Target::Cloud(CloudId(0)));
+        assert_eq!(opt.completion, Time::new(4.0));
+        let w = round.work();
+        assert_eq!((w.calls, w.at_bar, w.cloud_scored, w.walks), (1, 1, 0, 0));
+        assert_eq!(Some(opt), round.best_startable_exhaustive(&view, JobId(0)));
+    }
+
+    #[test]
+    fn bar_prune_yields_to_a_faster_fresh_edge() {
+        // Continuing on the cloud still needs 4 uplink + 1 work + 5
+        // downlink; a fresh start on the edge takes 1, under the bar.
+        let spec = PlatformSpec::builder()
+            .edges(vec![1.0])
+            .cloud_pool(1)
+            .build();
+        let jobs = vec![Job::new(EdgeId(0), 0.0, 1.0, 5.0, 5.0)];
+        let inst = Instance::new(spec, jobs).unwrap();
+        let mut states = vec![JobState::default()];
+        states[0].released = true;
+        states[0].committed = Some(Target::Cloud(CloudId(0)));
+        states[0].up_done = 1.0;
+        let arena = JobArena::from_states(&inst, &states);
+        let pending = PendingSet::from_states(&inst, &states);
+        let view = SimView::new(&inst, Time::new(1.0), &arena, &pending);
+        let round = RoundState::new(&view);
+        let opt = round.best_startable(&view, JobId(0)).unwrap();
+        assert_eq!(opt.target, Target::Edge);
+        assert_eq!(opt.completion, Time::new(2.0));
+        let w = round.work();
+        assert_eq!((w.calls, w.at_bar), (1, 0));
+        assert_eq!(Some(opt), round.best_startable_exhaustive(&view, JobId(0)));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::collections::BinaryHeap;
 /// plus the full [`StartOption`] it came from and the round's claim count
 /// when it was computed. If the count is unchanged at pop time, the cached
 /// option is exact (nothing mutated the round since) and the recompute is
-/// skipped entirely; otherwise it is refreshed as before. Ordering is by
+/// skipped entirely; otherwise it is recomputed. Ordering is by
 /// key alone — keys are unique (they embed the id), so `Eq`/`Ord` on the
 /// key is a total order over entries.
 #[derive(Clone, Debug)]
@@ -100,10 +100,8 @@ impl OnlineScheduler for Srpt {
         }
         while let Some(entry) = self.heap.pop() {
             let Reverse((_, id)) = entry.key;
-            // Repair the cached option against only what the claims since
-            // the entry was computed actually wrote (usually nothing this
-            // job reads, or one or two clouds to re-score); the full
-            // rescan runs only when the interference can't be localized.
+            // Reuse the cached option if nothing was claimed since it was
+            // computed; rescan otherwise.
             let Some(opt) = round.refresh_option(view, id, entry.tag, &entry.opt) else {
                 continue; // can no longer start in this round
             };
@@ -224,9 +222,8 @@ mod tests {
     }
 
     /// Reference SRPT: the identical selection loop, but every popped
-    /// entry is recomputed unconditionally — no claim-count tag, no
-    /// claim-log exemption. The production policy's caching must be
-    /// invisible against it.
+    /// entry is recomputed unconditionally — no claim-count tag. The
+    /// production policy's caching must be invisible against it.
     struct SrptNaive {
         round: Option<RoundState>,
     }
@@ -315,8 +312,7 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
             /// End-to-end schedule equality: the lazy heap with the
-            /// claim-count tag and the claim-log staleness exemption
-            /// versus the recompute-every-pop reference.
+            /// claim-count tag versus the recompute-every-pop reference.
             #[test]
             fn caching_matches_naive_recompute(inst in arb_instance()) {
                 let fast = Simulation::of(&inst)
@@ -330,6 +326,34 @@ mod tests {
                 prop_assert_eq!(fast.schedule, naive.schedule);
             }
         }
+    }
+
+    #[test]
+    fn bar_prune_cuts_decide_work() {
+        // Deterministic work gate on the `simulate_5000_srpt` bench
+        // instance (Random-CCR, n = 5000, seed 5). Most calls are for
+        // jobs with progress whose fresh starts cannot beat continuing;
+        // the bar ends those before the edge and cloud scans.
+        let inst = mmsec_workload::RandomCcrConfig {
+            n: 5000,
+            ..mmsec_workload::RandomCcrConfig::default()
+        }
+        .generate(5);
+        let mut policy = Srpt::new();
+        let out = Simulation::of(&inst).policy(&mut policy).run().unwrap();
+        assert!(validate(&inst, &out.schedule).is_ok());
+        let w = policy.round.as_ref().unwrap().work();
+        let decides = out.stats.decides as f64;
+        // Measured: 89.1% of calls end at the bar, 2.11 cloud candidates
+        // scored per decide (gated with about 10% slack).
+        assert!(
+            w.at_bar as f64 >= 0.80 * w.calls as f64,
+            "bar ended under 80% of calls: {w:?}"
+        );
+        assert!(
+            w.cloud_scored as f64 <= 2.3 * decides,
+            "over 2.3 cloud candidates scored per decide ({decides} decides): {w:?}"
+        );
     }
 
     #[test]

@@ -366,11 +366,14 @@ impl<'a> SimView<'a> {
     }
 
     /// Smallest contention-free remaining duration of job `id` over every
-    /// target (edge + all cloud processors).
+    /// target (edge + every live cloud processor). Removed clouds are
+    /// skipped; clouds down under a fault window are not — they come back.
     pub fn best_duration(&self, id: JobId) -> f64 {
         let mut best = self.duration_if_placed(id, Target::Edge);
         for k in self.spec().clouds() {
-            best = best.min(self.duration_if_placed(id, Target::Cloud(k)));
+            if self.platform.map_or(true, |p| p.cloud_live(k)) {
+                best = best.min(self.duration_if_placed(id, Target::Cloud(k)));
+            }
         }
         best
     }
@@ -570,5 +573,21 @@ mod tests {
         assert!((view.forced_stretch(JobId(0)) - 8.5 / 7.0).abs() < 1e-12);
         // Remaining on edge: 4 work / 0.5 speed.
         assert_eq!(view.remaining_on_edge(JobId(0)), 8.0);
+    }
+
+    #[test]
+    fn best_duration_skips_removed_clouds() {
+        let (inst, states) = fixture();
+        let arena = JobArena::from_states(&inst, &states);
+        let pending = PendingSet::from_states(&inst, &states);
+        let mut platform = PlatformState::new(inst.spec.clone());
+        // Fresh on the speed-4 cloud: 2 + 1 + 1 = 4.
+        let fast = platform.add_cloud(4.0).unwrap();
+        let view = SimView::new(&inst, Time::ZERO, &arena, &pending).with_platform(&platform);
+        assert_eq!(view.best_duration(JobId(0)), 4.0);
+        // Removed, it no longer bounds the job: back to the pool's 7.
+        platform.remove_cloud(fast).unwrap();
+        let view = SimView::new(&inst, Time::ZERO, &arena, &pending).with_platform(&platform);
+        assert_eq!(view.best_duration(JobId(0)), 7.0);
     }
 }
