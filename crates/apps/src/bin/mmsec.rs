@@ -271,7 +271,10 @@ fn main() {
             }
             println!("re-executions {}", out.stats.restarts);
             println!("events        {}", out.stats.events);
-            println!("decide time   {:?}", out.stats.decide_time);
+            // Measured only by the --profile run's phase profiler.
+            if let Some(decide_time) = out.stats.decide_time {
+                println!("decide time   {decide_time:?}");
+            }
             if flags.contains_key("per-job") {
                 println!("\njob  target     stretch");
                 for (id, _) in inst.iter_jobs() {
@@ -395,8 +398,11 @@ fn main() {
                     continue;
                 }
                 let mut policy = kind.build(0);
+                // The profiler measures the decide-time column.
+                let mut profiler = PhaseProfiler::new();
                 let out = Simulation::of(&inst)
                     .policy(policy.as_mut())
+                    .profiler(&mut profiler)
                     .run()
                     .unwrap_or_else(|e| fail(CliError::Failure(format!("{kind} failed: {e}"))));
                 if validate(&inst, &out.schedule).is_err() {
@@ -409,7 +415,7 @@ fn main() {
                     r.max_stretch,
                     r.mean_stretch,
                     out.stats.restarts,
-                    out.stats.decide_time
+                    out.stats.decide_time.expect("profiled")
                 );
             }
         }

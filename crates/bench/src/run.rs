@@ -3,7 +3,7 @@
 use mmsec_analysis::{run_indexed, Summary};
 use mmsec_core::PolicyKind;
 use mmsec_platform::obs::json::Json;
-use mmsec_platform::obs::{failure_dir, Log2Histogram};
+use mmsec_platform::obs::{failure_dir, Log2Histogram, PhaseProfiler};
 use mmsec_platform::{
     validate_with, EngineError, EngineOptions, FaultPlan, Instance, Simulation, StretchReport,
     ValidateOptions, Violation,
@@ -21,7 +21,8 @@ pub struct TrialResult {
     pub max_stretch: f64,
     /// Mean stretch (secondary metric).
     pub mean_stretch: f64,
-    /// Wall-clock time spent inside the policy's `decide`.
+    /// Wall-clock time spent inside the policy's `decide` (the trial
+    /// runs with a phase profiler attached to measure it).
     pub decide_time: Duration,
     /// Number of re-executions.
     pub restarts: u64,
@@ -131,16 +132,14 @@ fn try_run_policy_impl(
     validate: bool,
 ) -> Result<TrialResult, TrialError> {
     let mut policy = kind.build(policy_seed);
+    let mut profiler = PhaseProfiler::new();
+    let sim = Simulation::of(instance)
+        .policy(policy.as_mut())
+        .options(opts)
+        .profiler(&mut profiler);
     let out = match faults {
-        None => Simulation::of(instance)
-            .policy(policy.as_mut())
-            .options(opts)
-            .run(),
-        Some(plan) => Simulation::of(instance)
-            .policy(policy.as_mut())
-            .options(opts)
-            .faults(plan)
-            .run(),
+        None => sim.run(),
+        Some(plan) => sim.faults(plan).run(),
     }
     .map_err(|error| TrialError::Engine { kind, error })?;
     if validate {
@@ -156,7 +155,7 @@ fn try_run_policy_impl(
     Ok(TrialResult {
         max_stretch: report.max_stretch,
         mean_stretch: report.mean_stretch,
-        decide_time: out.stats.decide_time,
+        decide_time: out.stats.decide_time.expect("profiled"),
         restarts: out.stats.restarts,
     })
 }

@@ -24,15 +24,19 @@
 //! whose order an earlier probe already placed reuses its targets and
 //! forecast completions and only re-checks them against its own
 //! deadlines. A placement pass reuses one run-long [`Projection`], and
-//! its target choice visits the clouds by [`CloudClasses`]: clouds of one
-//! class the pass has not placed on yet forecast identically, so each
-//! class is scanned only up to its first such cloud. Both shortcuts are
+//! its target choice visits the clouds by [`CloudClasses`]: a class whose
+//! pristine closed form cannot beat the committed or edge candidate is
+//! skipped outright, and clouds of one class the pass has not placed on
+//! yet forecast identically, so each remaining class is scanned only up
+//! to its first such cloud. The winner's forecast is booked as is. The
+//! search's lower bound reads one cloud per class too. Every shortcut is
 //! exact — the `#[cfg(test)]` reference probe (fresh projection, full
-//! ascending scan) and an end-to-end reference policy pin them bit for
-//! bit. See `docs/performance.md` ("SSF-EDF replan").
+//! ascending scan), the reference lower bound and an end-to-end reference
+//! policy pin them bit for bit. See `docs/performance.md` ("SSF-EDF
+//! replan").
 
 use mmsec_platform::obs::Event as ObsEvent;
-use mmsec_platform::projection::Projection;
+use mmsec_platform::projection::{Forecast, Projection};
 use mmsec_platform::{
     CloudClasses, CloudId, DecisionCadence, DirectiveBuffer, Instance, Job, JobId, JobState,
     ObserverHandle, OnlineScheduler, PlatformSpec, SimView, Target,
@@ -88,6 +92,8 @@ struct Work {
     jobs_placed: u64,
     /// Projection forecasts on cloud targets while choosing targets.
     cloud_forecasts: u64,
+    /// Cloud classes skipped whole by their pristine bound.
+    classes_pruned: u64,
 }
 
 impl Default for SsfEdf {
@@ -141,12 +147,7 @@ impl SsfEdf {
         }
         let rp = self.replanner.get_or_insert_with(|| Replanner::new(view));
         rp.begin(view);
-        // Lower bound: the stretch each pending job is already forced to
-        // (finishing as early as physically possible, alone).
-        let lo = rp
-            .pending
-            .iter()
-            .fold(1.0f64, |lo, &id| lo.max(view.forced_stretch(id)));
+        let lo = rp.lower_bound(view);
         let work = &mut self.work;
         let observer = &self.observer;
         let chosen = search(lo, self.alpha, self.eps_rel, |s| {
@@ -247,6 +248,43 @@ impl Replanner {
         self.memo.clear(self.pending.len());
     }
 
+    /// Lower bound of the stretch search: the stretch each pending job is
+    /// already forced to (finishing as early as physically possible,
+    /// alone), and at least 1.
+    fn lower_bound(&self, view: &SimView<'_>) -> f64 {
+        self.pending.iter().fold(1.0f64, |lo, &id| {
+            let job = view.job(id);
+            let forced = (view.now + Time::new(self.best_duration(view, id)) - job.release)
+                .seconds()
+                / view.min_time(id);
+            lo.max(forced)
+        })
+    }
+
+    /// Smallest contention-free remaining duration of `id` over the edge
+    /// and every live cloud. Fresh durations depend on a cloud only
+    /// through its class, so the committed cloud (its remaining volumes)
+    /// and one other live member per class stand for every cloud; `min`
+    /// is exact, so this is bit-identical to a fold over all clouds.
+    fn best_duration(&self, view: &SimView<'_>, id: JobId) -> f64 {
+        let committed = view.jobs.committed[id.0];
+        let mut best = view.duration_if_placed(id, Target::Edge);
+        if let Some(Target::Cloud(k)) = committed {
+            if view.cloud_live(k) {
+                best = best.min(view.duration_if_placed(id, Target::Cloud(k)));
+            }
+        }
+        for class in self.placer.classes.groups() {
+            let fresh = class
+                .iter()
+                .find(|&&k| committed != Some(Target::Cloud(k)) && view.cloud_live(k));
+            if let Some(&k) = fresh {
+                best = best.min(view.duration_if_placed(id, Target::Cloud(k)));
+            }
+        }
+        best
+    }
+
     /// EDF feasibility probe under target stretch `s`. Places the jobs
     /// only when no earlier probe of this replan produced the same order.
     fn probe(&mut self, view: &SimView<'_>, s: f64, work: &mut Work) -> Probe {
@@ -270,8 +308,11 @@ impl Replanner {
                 for &(_, id) in &self.keys {
                     let job = view.job(id);
                     let st = view.state(id);
-                    let target = self.placer.choose_target(view, job, &st, work);
-                    let completion = self.placer.place(view.spec(), job, &st, target, view.now);
+                    let (target, forecast) = self.placer.choose_target(view, job, &st, work);
+                    let completion = match forecast {
+                        Some(f) => self.placer.place_forecast(job, &f, target),
+                        None => self.placer.place(view.spec(), job, &st, target, view.now),
+                    };
                     self.memo.push(id, target, completion);
                 }
                 self.memo.seal()
@@ -373,10 +414,18 @@ impl Placer {
         target: Target,
         now: Time,
     ) -> Time {
+        let f = self.proj.forecast(job, st, target, spec, now);
+        self.place_forecast(job, &f, target)
+    }
+
+    /// Books `job` on `target` from `f`, a forecast made against the
+    /// current profiles, and returns its completion.
+    fn place_forecast(&mut self, job: &Job, f: &Forecast, target: Target) -> Time {
         if let Target::Cloud(k) = target {
             self.placed_in[k.0] = self.pass;
         }
-        self.proj.place(job, st, target, spec, now)
+        self.proj.place_forecast(job, f, target);
+        f.completion
     }
 
     /// Earliest-projected-completion target with a *hysteresis*
@@ -397,13 +446,25 @@ impl Placer {
     /// no earlier (an untouched one identically, a placed-on one later,
     /// since forecasts are monotone in the profiles) and has a higher
     /// index.
+    ///
+    /// A class is skipped whole when its pristine closed form (fresh
+    /// volumes on profiles all at `now`) is no earlier than the
+    /// incumbent's completion or the bar. Every member the scan would
+    /// score is fresh (the committed cloud is scored above, not in the
+    /// class loop), and a fresh forecast is never below its pristine
+    /// form: forecasts are monotone in the profile free times and IEEE
+    /// addition rounds monotonically. Such a member could neither clear
+    /// the bar nor beat the incumbent, which needs strict `<`.
+    ///
+    /// Returns the target and, when one was available, the forecast it
+    /// won with, so the pass can book it without forecasting again.
     fn choose_target(
         &self,
         view: &SimView<'_>,
         job: &Job,
         st: &JobState,
         work: &mut Work,
-    ) -> Target {
+    ) -> (Target, Option<Forecast>) {
         let spec = view.spec();
         let now = view.now;
         let proj = &self.proj;
@@ -414,59 +475,82 @@ impl Placer {
             Some(Target::Cloud(k)) => st.up_done + st.work_done / spec.cloud_speed(k) + st.dn_done,
             None => 0.0,
         };
-        let mut best: Option<(Target, Time)> = None;
+        let mut best: Option<(Target, Forecast)> = None;
         let mut bar: Option<Time> = None;
         if let Some(t) = st.committed {
-            let completion = proj.completion(job, st, t, spec, now);
+            let f = proj.forecast(job, st, t, spec, now);
             if let Target::Cloud(_) = t {
                 work.cloud_forecasts += 1;
             }
-            bar = Some(completion - Time::new(sunk));
+            bar = Some(f.completion - Time::new(sunk));
             // A down unit (fault injection) is never a placement target.
             if view.target_available(job.origin, t) {
-                best = Some((t, completion));
+                best = Some((t, f));
             }
         }
         // A switch must beat the bar; the committed target itself is
         // scored once above (a re-evaluation would tie and lose).
         let clears_bar = |completion: Time| bar.map_or(true, |bar| completion < bar);
         if st.committed != Some(Target::Edge) && view.target_available(job.origin, Target::Edge) {
-            let completion = proj.completion(job, st, Target::Edge, spec, now);
-            if clears_bar(completion) && best.map_or(true, |(_, c)| completion < c) {
-                best = Some((Target::Edge, completion));
+            let f = proj.forecast(job, st, Target::Edge, spec, now);
+            if clears_bar(f.completion) && best.map_or(true, |(_, b)| f.completion < b.completion) {
+                best = Some((Target::Edge, f));
             }
         }
-        let mut cloud_best: Option<(Time, CloudId)> = None;
+        let cut = match (best.map(|(_, f)| f.completion), bar) {
+            (Some(c), Some(b)) => Some(c.min(b)),
+            (c, b) => c.or(b),
+        };
+        let mut cloud_best: Option<(Forecast, CloudId)> = None;
         for class in self.classes.groups() {
+            if let Some(cut) = cut {
+                let k = class[0];
+                let (up, dn) = (job.up * spec.path_up(k), job.dn * spec.path_dn(k));
+                let bound = Forecast::pristine(
+                    Target::Cloud(k),
+                    up,
+                    job.work,
+                    dn,
+                    spec.cloud_speed(k),
+                    now,
+                );
+                if bound.completion >= cut {
+                    work.classes_pruned += 1;
+                    continue;
+                }
+            }
             for &k in class {
                 let target = Target::Cloud(k);
                 if st.committed == Some(target) || !view.target_available(job.origin, target) {
                     continue;
                 }
-                let completion = proj.completion(job, st, target, spec, now);
+                let f = proj.forecast(job, st, target, spec, now);
                 work.cloud_forecasts += 1;
-                if clears_bar(completion)
-                    && cloud_best.map_or(true, |(c, bk)| {
-                        completion < c || (completion == c && k.0 < bk.0)
+                if clears_bar(f.completion)
+                    && cloud_best.map_or(true, |(b, bk)| {
+                        f.completion < b.completion || (f.completion == b.completion && k.0 < bk.0)
                     })
                 {
-                    cloud_best = Some((completion, k));
+                    cloud_best = Some((f, k));
                 }
                 if self.placed_in[k.0] != self.pass {
                     break;
                 }
             }
         }
-        if let Some((completion, k)) = cloud_best {
-            if best.map_or(true, |(_, c)| completion < c) {
-                best = Some((Target::Cloud(k), completion));
+        if let Some((f, k)) = cloud_best {
+            if best.map_or(true, |(_, b)| f.completion < b.completion) {
+                best = Some((Target::Cloud(k), f));
             }
         }
         // Every unit can be down at once under fault injection; park the
         // job on its committed target (or the edge) until something
         // recovers — the engine's resource blocking keeps it from
         // actually starting there.
-        best.map_or(st.committed.unwrap_or(Target::Edge), |(t, _)| t)
+        match best {
+            Some((t, f)) => (t, Some(f)),
+            None => (st.committed.unwrap_or(Target::Edge), None),
+        }
     }
 }
 
@@ -557,9 +641,28 @@ mod tests {
     use super::*;
     use mmsec_platform::{
         figure1_instance, max_stretch, validate, CloudId, EdgeId, EngineOptions, FaultConfig,
-        Instance, Job, JobArena, PendingSet, PlatformSpec, RunOutcome, Simulation, StretchReport,
+        Instance, Job, JobArena, PendingSet, PlatformSpec, PlatformState, RunOutcome, Simulation,
+        StretchReport,
     };
     use mmsec_workload::{KangConfig, RandomCcrConfig};
+
+    /// Reference best duration: the edge and every live cloud, one by
+    /// one.
+    fn best_duration(view: &SimView<'_>, id: JobId) -> f64 {
+        let mut best = view.duration_if_placed(id, Target::Edge);
+        for k in view.spec().clouds() {
+            if view.cloud_live(k) {
+                best = best.min(view.duration_if_placed(id, Target::Cloud(k)));
+            }
+        }
+        best
+    }
+
+    /// Reference forced stretch of `id`, from [`best_duration`].
+    fn forced_stretch(view: &SimView<'_>, id: JobId) -> f64 {
+        let job = view.job(id);
+        (view.now + Time::new(best_duration(view, id)) - job.release).seconds() / view.min_time(id)
+    }
 
     /// Reference target choice: the committed target, the edge, then
     /// every cloud by ascending index, each forecast against `proj`.
@@ -688,7 +791,7 @@ mod tests {
             if view.pending_jobs().any(|id| self.deadlines[id.0].is_none()) {
                 let mut lo = 1.0f64;
                 for id in view.pending_jobs() {
-                    lo = lo.max(view.forced_stretch(id));
+                    lo = lo.max(forced_stretch(view, id));
                 }
                 let plan = search(lo, self.alpha, 1e-3, |s| try_stretch(view, s));
                 for entry in plan {
@@ -914,7 +1017,7 @@ mod tests {
             placer.begin_pass(view.now);
             placer.place(view.spec(), &phantom, &fresh, cloud0, view.now);
             let st = view.state(JobId(0));
-            let scanned =
+            let (scanned, _) =
                 placer.choose_target(&view, view.job(JobId(0)), &st, &mut Work::default());
             (reference, scanned)
         };
@@ -939,6 +1042,97 @@ mod tests {
         );
         // Case 3: no progress — free to pick the projected best.
         assert_eq!(choices(0.0, 3.0), (switch, switch));
+    }
+
+    /// The scanned and the reference choice for one fresh job on an
+    /// idle platform, with the scan's work.
+    fn choose_fresh(spec: PlatformSpec, job: Job) -> (Target, Target, Work) {
+        let inst = Instance::new(spec, vec![job]).unwrap();
+        let states = vec![JobState {
+            released: true,
+            ..JobState::default()
+        }];
+        let arena = JobArena::from_states(&inst, &states);
+        let pending = PendingSet::from_states(&inst, &states);
+        let view = SimView::new(&inst, Time::new(1.0), &arena, &pending);
+        let reference = choose_target(&Projection::from_view(&view), &view, JobId(0), view.spec());
+        let mut placer = Placer::new(&view);
+        placer.begin_pass(view.now);
+        let mut work = Work::default();
+        let st = view.state(JobId(0));
+        let (scanned, f) = placer.choose_target(&view, view.job(JobId(0)), &st, &mut work);
+        let own = placer
+            .proj
+            .forecast(view.job(JobId(0)), &st, scanned, view.spec(), view.now);
+        assert_eq!(f, Some(own), "the returned forecast is the winner's");
+        (reference, scanned, work)
+    }
+
+    #[test]
+    fn prune_skips_every_class_behind_a_fast_edge() {
+        // Edge: 1 / 10 = 0.1. Every cloud class needs at least the
+        // 1 + 1 transfer, so no cloud is forecast at all.
+        let spec = PlatformSpec::builder()
+            .edges(vec![10.0])
+            .tier(1.0, 1.0)
+            .clouds([1.0, 2.0, 1.0])
+            .tier(2.0, 2.0)
+            .cloud(4.0)
+            .build();
+        let classes = CloudClasses::of(&spec).len() as u64;
+        let job = Job::new(EdgeId(0), 0.0, 1.0, 1.0, 1.0);
+        let (reference, scanned, work) = choose_fresh(spec, job);
+        assert_eq!((reference, scanned), (Target::Edge, Target::Edge));
+        assert_eq!(work.cloud_forecasts, 0, "{work:?}");
+        assert_eq!(work.classes_pruned, classes, "{work:?}");
+    }
+
+    #[test]
+    fn prune_keeps_a_class_that_can_win() {
+        // Edge: 4 / 0.8 = 5. The speed-0.5 class needs 0.5 + 8 + 0.5 = 9
+        // and is skipped; the speed-2 class needs 3 and wins.
+        let spec = PlatformSpec::builder()
+            .edges(vec![0.8])
+            .clouds([0.5, 2.0, 0.5, 2.0])
+            .build();
+        let job = Job::new(EdgeId(0), 0.0, 4.0, 0.5, 0.5);
+        let (reference, scanned, work) = choose_fresh(spec, job);
+        let fast = Target::Cloud(CloudId(1));
+        assert_eq!((reference, scanned), (fast, fast));
+        assert_eq!(work.classes_pruned, 1, "{work:?}");
+        assert_eq!(work.cloud_forecasts, 1, "{work:?}");
+    }
+
+    #[test]
+    fn best_duration_skips_removed_clouds() {
+        let spec = PlatformSpec::builder()
+            .edges(vec![0.5])
+            .cloud_pool(2)
+            .build();
+        // min_time = min(4/0.5, 2+4+1) = min(8, 7) = 7.
+        let job = Job::new(EdgeId(0), 1.0, 4.0, 2.0, 1.0);
+        let inst = Instance::new(spec, vec![job]).unwrap();
+        let states = vec![JobState {
+            released: true,
+            ..JobState::default()
+        }];
+        let arena = JobArena::from_states(&inst, &states);
+        let pending = PendingSet::from_states(&inst, &states);
+        let mut platform = PlatformState::new(inst.spec.clone());
+        let both = |platform: &PlatformState| {
+            let view = SimView::new(&inst, Time::ZERO, &arena, &pending).with_platform(platform);
+            let rp = Replanner::new(&view);
+            (
+                best_duration(&view, JobId(0)),
+                rp.best_duration(&view, JobId(0)),
+            )
+        };
+        // Fresh on the speed-4 cloud: 2 + 1 + 1 = 4.
+        let fast = platform.add_cloud(4.0).unwrap();
+        assert_eq!(both(&platform), (4.0, 4.0));
+        // Removed, it no longer bounds the job: back to the pool's 7.
+        platform.remove_cloud(fast).unwrap();
+        assert_eq!(both(&platform), (7.0, 7.0));
     }
 
     #[test]
@@ -1001,8 +1195,9 @@ mod tests {
     fn probe_shortcuts_cut_placement_work() {
         // Deterministic work gate on one benchmark-shaped instance:
         // tiered Kang, n = 2000, seeded faults. Most probes of a replan
-        // repeat an EDF order an earlier probe placed; the class scan
-        // forecasts a fraction of the clouds per placed job.
+        // repeat an EDF order an earlier probe placed; the class bound
+        // skips nearly every cloud class, since the committed target or
+        // the edge almost always wins.
         let (inst, plan) = tiered_kang_with_faults(2000, 11);
         let mut policy = SsfEdf::new();
         let out = Simulation::of(&inst)
@@ -1018,10 +1213,13 @@ mod tests {
             10 * w.placements <= 4 * w.probes,
             "placement passes above 40% of probes: {w:?}"
         );
-        let full_scan = w.jobs_placed * inst.spec.num_cloud() as u64;
+        // Measured: 248 cloud forecasts for 16,273 placed jobs (0.0152
+        // per job; a full scan of the 10 clouds would be 162,730), with
+        // 48,777 classes skipped by their bound. The gate allows 10%.
+        assert!(w.classes_pruned > 0, "{w:?}");
         assert!(
-            2 * w.cloud_forecasts <= full_scan,
-            "class scan forecasts above half a full scan ({full_scan}): {w:?}"
+            10_000 * w.cloud_forecasts <= 168 * w.jobs_placed,
+            "cloud forecasts above 0.0168 per placed job: {w:?}"
         );
     }
 
@@ -1196,6 +1394,78 @@ mod tests {
                     prop_assert!(work.memo_hits as usize >= repeats, "{:?}", work);
                     prop_assert_eq!(work.probes, work.memo_hits + work.placements);
                 }
+            }
+
+            /// The per-class lower bound equals the reference fold over
+            /// every live cloud bit for bit: flat and 1–3 tier specs,
+            /// clouds removed through the platform runtime, and jobs
+            /// committed with progress to the edge or to a cloud (a
+            /// removed one included).
+            #[test]
+            fn class_lower_bound_matches_reference(
+                speed_picks in proptest::collection::vec(0usize..9, 1..8),
+                depth in 0usize..4,
+                hops in proptest::collection::vec((0.5f64..3.0, 0.5f64..3.0), 3),
+                job_descs in proptest::collection::vec(
+                    (0.0f64..4.0, 0.5f64..8.0, 0.0f64..3.0, 0.0f64..3.0, 0u8..2, 0u8..4),
+                    1..12,
+                ),
+                removed in proptest::collection::vec(any::<bool>(), 8),
+                now in 4.0f64..6.0,
+            ) {
+                let spec = spec_of(&speed_picks, depth, &hops);
+                let num_cloud = spec.num_cloud();
+                let jobs: Vec<Job> = job_descs
+                    .iter()
+                    .map(|&(rel, work, up, dn, origin, _)| {
+                        Job::new(EdgeId(origin as usize), rel, work, up, dn)
+                    })
+                    .collect();
+                let inst = Instance::new(spec, jobs).unwrap();
+                let mut platform = PlatformState::new(inst.spec.clone());
+                for k in (0..num_cloud).filter(|&k| removed[k]) {
+                    platform.remove_cloud(CloudId(k)).unwrap();
+                }
+                let mut states = vec![JobState::default(); inst.num_jobs()];
+                for (i, (st, &(_, work, up, dn, _, kind))) in
+                    states.iter_mut().zip(job_descs.iter()).enumerate()
+                {
+                    st.released = true;
+                    match kind {
+                        1 => {
+                            st.committed = Some(Target::Edge);
+                            st.work_done = 0.5 * work;
+                        }
+                        2 => {
+                            st.committed = Some(Target::Cloud(CloudId(i % num_cloud)));
+                            st.up_done = up;
+                            st.work_done = 0.25 * work;
+                        }
+                        3 => {
+                            st.committed = Some(Target::Cloud(CloudId(i % num_cloud)));
+                            st.up_done = up;
+                            st.work_done = work;
+                            st.dn_done = 0.5 * dn;
+                        }
+                        _ => {}
+                    }
+                }
+                let arena = JobArena::from_states(&inst, &states);
+                let pending = PendingSet::from_states(&inst, &states);
+                let view = SimView::new(&inst, Time::new(now), &arena, &pending)
+                    .with_platform(&platform);
+                let mut rp = Replanner::new(&view);
+                rp.begin(&view);
+                let mut lo = 1.0f64;
+                for id in view.pending_jobs() {
+                    prop_assert_eq!(
+                        rp.best_duration(&view, id).to_bits(),
+                        best_duration(&view, id).to_bits(),
+                        "{:?}", id
+                    );
+                    lo = lo.max(forced_stretch(&view, id));
+                }
+                prop_assert_eq!(rp.lower_bound(&view).to_bits(), lo.to_bits());
             }
 
             /// End to end: the production policy and the reference

@@ -66,8 +66,11 @@ pub struct RunStats {
     /// Number of events at which the policy call was skipped because no
     /// decision-relevant state had changed since the last invoked decide.
     pub decide_skips: u64,
-    /// Total wall-clock time spent inside `scheduler.decide`.
-    pub decide_time: Duration,
+    /// Total wall-clock time spent inside `scheduler.decide`, measured
+    /// only when a [`PhaseProfiler`](mmsec_obs::PhaseProfiler) is
+    /// attached (`None` otherwise): an unprofiled run reads no clock
+    /// around its decides.
+    pub decide_time: Option<Duration>,
     /// Total wall-clock time of the simulation.
     pub total_time: Duration,
     /// Total number of job re-executions.

@@ -323,6 +323,10 @@ impl<'a> Session<'a> {
         let has_unavailability = spec.has_unavailability();
         let event_log = opts.record_events.then(Vec::new);
         let jobs = JobArena::fresh(&instance, spec);
+        let stats = RunStats {
+            decide_time: profiler.is_some().then_some(Duration::ZERO),
+            ..RunStats::default()
+        };
 
         scheduler.get().on_start(&instance);
         let mut session = Session {
@@ -342,7 +346,7 @@ impl<'a> Session<'a> {
             queue,
             platform,
             trace: TraceBuilder::new(n),
-            stats: RunStats::default(),
+            stats,
             event_log,
             now,
             started: false,
@@ -855,11 +859,17 @@ impl<'a> Session<'a> {
                     }
                 );
                 self.buf.clear();
-                let t0 = Instant::now();
+                // The clock is read only for a profiler (which times the
+                // decide span) or an observer (whose `DecideEnd` carries
+                // the wall); an unobserved run makes no clock call here.
+                let t0 = (self.profiler.is_some() || !matches!(self.observer, ObsSlot::None))
+                    .then(Instant::now);
                 self.scheduler.get().decide(&view, &mut self.buf);
-                let wall = t0.elapsed();
-                self.stats.decide_time += wall;
-                invoked_wall = Some(wall);
+                let wall = t0.map(|t0| t0.elapsed());
+                if let (Some(total), Some(w)) = (self.stats.decide_time.as_mut(), wall) {
+                    *total += w;
+                }
+                invoked_wall = wall;
                 // Sanitize: keep the first directive per job, drop
                 // unreleased/finished jobs.
                 let stamp = self.stats.events;
@@ -877,7 +887,7 @@ impl<'a> Session<'a> {
                     self,
                     ObsEvent::DecideEnd {
                         t: self.now,
-                        wall,
+                        wall: wall.unwrap_or_default(),
                         directives: self.buf.len(),
                     }
                 );

@@ -190,6 +190,14 @@ fn check_jobs(
     v: &mut Vec<Violation>,
 ) {
     let spec = &instance.spec;
+    // Abandoned-segment starts grouped by job; the stable sort keeps each
+    // job's segments in trace order.
+    let mut abandoned: Vec<(usize, mmsec_sim::Time)> = schedule
+        .abandoned
+        .iter()
+        .map(|seg| (seg.job.0, seg.interval.start()))
+        .collect();
+    abandoned.sort_by_key(|&(j, _)| j);
     for (id, job) in instance.iter_jobs() {
         let i = id.0;
         let completion = schedule.completion[i];
@@ -220,8 +228,9 @@ fn check_jobs(
         check_release(schedule.exec[i].min_start());
         check_release(schedule.up[i].min_start());
         check_release(schedule.dn[i].min_start());
-        for seg in schedule.abandoned.iter().filter(|s| s.job == id) {
-            check_release(Some(seg.interval.start()));
+        let first = abandoned.partition_point(|&(j, _)| j < i);
+        for &(_, start) in abandoned[first..].iter().take_while(|&&(j, _)| j == i) {
+            check_release(Some(start));
         }
 
         // 3. Volumes, 4. ordering, and the shape of the allocation.
@@ -610,6 +619,37 @@ mod tests {
         assert!(errs
             .iter()
             .any(|e| matches!(e, Violation::ResourceOverlap { .. })));
+    }
+
+    #[test]
+    fn abandoned_segment_before_release_is_reported() {
+        let spec = PlatformSpec::builder()
+            .edges(vec![1.0])
+            .cloud_pool(0)
+            .build();
+        let jobs = vec![
+            Job::new(EdgeId(0), 0.0, 1.0, 0.0, 0.0),
+            Job::new(EdgeId(0), 2.0, 1.0, 0.0, 0.0),
+        ];
+        let inst = Instance::new(spec, jobs).unwrap();
+        let mut tb = TraceBuilder::new(2);
+        tb.record(JobId(0), Phase::Compute, Target::Edge, iv(0.0, 1.0));
+        // J2 (released at 2) starts an abandoned attempt at 1.5; its
+        // final attempt respects the release.
+        tb.record(JobId(1), Phase::Compute, Target::Edge, iv(1.5, 1.75));
+        tb.abandon(JobId(1));
+        tb.record(JobId(1), Phase::Compute, Target::Edge, iv(2.0, 3.0));
+        tb.complete(JobId(0), Time::new(1.0));
+        tb.complete(JobId(1), Time::new(3.0));
+        let errs = validate(&inst, &tb.finish()).unwrap_err();
+        assert_eq!(
+            errs,
+            vec![Violation::BeforeRelease {
+                job: JobId(1),
+                start: 1.5,
+                release: 2.0,
+            }]
+        );
     }
 
     #[test]

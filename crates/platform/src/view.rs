@@ -278,6 +278,12 @@ impl<'a> SimView<'a> {
         self.availability.map_or(true, |a| a.cloud_up[k.0])
     }
 
+    /// True unless cloud `k` was removed from the platform. A cloud down
+    /// under a fault window is still live: it comes back.
+    pub fn cloud_live(&self, k: CloudId) -> bool {
+        self.platform.map_or(true, |p| p.cloud_live(k))
+    }
+
     /// Current capacity factor of edge `j`'s communication link
     /// (`1.0` healthy, `0.0` outage).
     pub fn link_factor(&self, j: EdgeId) -> f64 {
@@ -363,28 +369,6 @@ impl<'a> SimView<'a> {
     pub fn duration_if_placed(&self, id: JobId, target: Target) -> f64 {
         self.jobs
             .duration_if_placed(id.0, self.job(id), target, self.spec())
-    }
-
-    /// Smallest contention-free remaining duration of job `id` over every
-    /// target (edge + every live cloud processor). Removed clouds are
-    /// skipped; clouds down under a fault window are not — they come back.
-    pub fn best_duration(&self, id: JobId) -> f64 {
-        let mut best = self.duration_if_placed(id, Target::Edge);
-        for k in self.spec().clouds() {
-            if self.platform.map_or(true, |p| p.cloud_live(k)) {
-                best = best.min(self.duration_if_placed(id, Target::Cloud(k)));
-            }
-        }
-        best
-    }
-
-    /// Stretch job `id` is already forced to at `now`: even if it finished
-    /// as early as physically possible (alone, on its best target), its
-    /// stretch would be at least this.
-    pub fn forced_stretch(&self, id: JobId) -> f64 {
-        let job = self.job(id);
-        (self.now + Time::new(self.best_duration(id)) - job.release).seconds()
-            / self.jobs.min_time[id.0]
     }
 
     /// Remaining local processing time of job `id` on its origin edge unit
@@ -568,26 +552,7 @@ mod tests {
             7.0
         );
         assert_eq!(view.duration_if_placed(JobId(0), Target::Edge), 8.0);
-        assert_eq!(view.best_duration(JobId(0)), 5.5);
-        // Forced stretch at now=4: (4 + 5.5 − 1) / 7.
-        assert!((view.forced_stretch(JobId(0)) - 8.5 / 7.0).abs() < 1e-12);
         // Remaining on edge: 4 work / 0.5 speed.
         assert_eq!(view.remaining_on_edge(JobId(0)), 8.0);
-    }
-
-    #[test]
-    fn best_duration_skips_removed_clouds() {
-        let (inst, states) = fixture();
-        let arena = JobArena::from_states(&inst, &states);
-        let pending = PendingSet::from_states(&inst, &states);
-        let mut platform = PlatformState::new(inst.spec.clone());
-        // Fresh on the speed-4 cloud: 2 + 1 + 1 = 4.
-        let fast = platform.add_cloud(4.0).unwrap();
-        let view = SimView::new(&inst, Time::ZERO, &arena, &pending).with_platform(&platform);
-        assert_eq!(view.best_duration(JobId(0)), 4.0);
-        // Removed, it no longer bounds the job: back to the pool's 7.
-        platform.remove_cloud(fast).unwrap();
-        let view = SimView::new(&inst, Time::ZERO, &arena, &pending).with_platform(&platform);
-        assert_eq!(view.best_duration(JobId(0)), 7.0);
     }
 }

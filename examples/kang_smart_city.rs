@@ -6,6 +6,7 @@
 //! Run with: `cargo run --release --example kang_smart_city`
 
 use mmsec_core::PolicyKind;
+use mmsec_platform::obs::PhaseProfiler;
 use mmsec_platform::{validate, Simulation, StretchReport, Target};
 use mmsec_workload::KangConfig;
 
@@ -26,8 +27,11 @@ fn main() {
     println!("policy      max-stretch  mean-stretch  offloaded  restarts  sched-time");
     for kind in PolicyKind::ALL {
         let mut policy = kind.build(7);
+        // The phase profiler measures the sched-time column.
+        let mut profiler = PhaseProfiler::new();
         let out = Simulation::of(&instance)
             .policy(policy.as_mut())
+            .profiler(&mut profiler)
             .run()
             .expect("completes");
         validate(&instance, &out.schedule).expect("valid schedule");
@@ -46,7 +50,7 @@ fn main() {
             offloaded,
             instance.num_jobs(),
             out.stats.restarts,
-            out.stats.decide_time,
+            out.stats.decide_time.expect("profiled"),
         );
     }
 

@@ -62,7 +62,7 @@ fn main() {
     );
     println!("mean stretch = {:.3}", report.mean_stretch);
     println!(
-        "events = {}, scheduling time = {:?}",
-        out.stats.events, out.stats.decide_time
+        "events = {}, decides = {}",
+        out.stats.events, out.stats.decides
     );
 }
